@@ -95,9 +95,10 @@ root::AnalysisConfig JobConfig(Mode mode, double fraction,
   // trip is always in flight behind the compute.
   config.cache.prefetch_window_bytes = window_bytes;
   config.cache.prefetch_pipeline_clusters = 4;
-  // Adaptive readahead: engage the window only on high-latency paths
-  // (where the paper's §3 places XRootD's advantage); LAN/PAN cluster
-  // fetches stay below this threshold.
+  // Adaptive readahead: keep refilling the window only on high-latency
+  // paths (where the paper's §3 places XRootD's advantage); LAN/PAN
+  // cluster fetches stay below this threshold, so they get the first
+  // fill alone.
   config.cache.prefetch_latency_threshold_micros = 200'000;
   return config;
 }

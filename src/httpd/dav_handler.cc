@@ -277,7 +277,8 @@ void AppendPropfindResponse(xml::XmlNode* multistatus, const std::string& path,
 
 void DavHandler::DoPropfind(const http::HttpRequest& request,
                             http::HttpResponse* response) {
-  std::string path = RequestPath(request);
+  // Normalised once, so "/dir/" names its children "/dir/x", not "/dir//x".
+  std::string path = ObjectStore::Normalize(RequestPath(request));
   Result<ObjectMeta> meta = store_->Stat(path);
   if (!meta.ok()) {
     response->status_code = 404;

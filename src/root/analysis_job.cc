@@ -37,11 +37,13 @@ Result<AnalysisReport> RunAnalysis(RandomAccessFile* file,
     for (size_t i = 0; i < active.size(); ++i) active[i] = i;
   }
 
-  TreeCache cache(&reader, active, config.cache);
-
   double fraction = std::clamp(config.fraction, 0.0, 1.0);
   uint64_t n_events =
       static_cast<uint64_t>(static_cast<double>(spec.n_events) * fraction);
+
+  TreeCache cache(&reader, active, config.cache);
+  cache.SetEndRow((n_events + spec.events_per_basket - 1) /
+                  spec.events_per_basket);
 
   AnalysisReport report;
   double aggregate = 0;

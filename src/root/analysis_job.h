@@ -17,7 +17,8 @@ namespace root {
 /// totality of around 12000 particles events".
 struct AnalysisConfig {
   /// Fraction of events processed, from the start of the tree (the
-  /// paper's "fraction or totality"; Figure 4 uses 100 %).
+  /// paper's "fraction or totality"; Figure 4 uses 100 %). The TreeCache
+  /// is told the last basket row this reaches and fetches nothing past it.
   double fraction = 1.0;
   /// Names of branches the job touches; empty = all branches.
   std::vector<std::string> branches;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <thread>
 
 #include "common/clock.h"
 
@@ -12,7 +13,8 @@ TreeCache::TreeCache(TreeReader* reader, std::vector<size_t> active_branches,
                      TreeCacheConfig config)
     : reader_(reader),
       active_branches_(std::move(active_branches)),
-      config_(config) {
+      config_(config),
+      end_row_(reader_->spec().BasketCountPerBranch()) {
   if (active_branches_.empty()) {
     active_branches_.resize(reader_->spec().branches.size());
     std::iota(active_branches_.begin(), active_branches_.end(), 0);
@@ -20,6 +22,10 @@ TreeCache::TreeCache(TreeReader* reader, std::vector<size_t> active_branches,
   if (config_.cluster_rows == 0) config_.cluster_rows = 1;
   if (config_.prefetch_pipeline_clusters == 0) {
     config_.prefetch_pipeline_clusters = 1;
+  }
+  if (config_.enabled) {
+    unsigned cores = std::thread::hardware_concurrency();
+    decode_pool_ = std::make_unique<ThreadPool>(cores > 2 ? cores - 1 : 1);
   }
 }
 
@@ -29,14 +35,16 @@ TreeCache::~TreeCache() {
   while (!pipeline_.empty()) DiscardFrontPrefetch();
 }
 
-void TreeCache::PlanCluster(
-    uint64_t first_row, uint64_t byte_budget,
-    std::vector<std::pair<size_t, uint64_t>>* keys,
-    std::vector<http::ByteRange>* ranges) const {
+void TreeCache::SetEndRow(uint64_t end_row) {
+  end_row_ = std::min(end_row, reader_->spec().BasketCountPerBranch());
+}
+
+void TreeCache::PlanCluster(uint64_t first_row, uint64_t byte_budget,
+                            std::vector<BasketKey>* keys,
+                            std::vector<http::ByteRange>* ranges) const {
   const TreeIndex& index = reader_->index();
-  uint64_t n_rows = index.spec.BasketCountPerBranch();
   uint64_t last_row =
-      std::min<uint64_t>(first_row + config_.cluster_rows, n_rows);
+      std::min<uint64_t>(first_row + config_.cluster_rows, end_row_);
   // File-offset order = row-major over the cluster-major layout.
   uint64_t budget_used = 0;
   for (uint64_t row = first_row; row < last_row; ++row) {
@@ -64,21 +72,17 @@ void TreeCache::DiscardFrontPrefetch() {
 }
 
 void TreeCache::TopUpPipeline(uint64_t current_first_row) {
-  bool engage = config_.prefetch_latency_threshold_micros == 0 ||
-                high_latency_path_;
-  if (!engage || !config_.async_prefetch ||
-      !reader_->file()->SupportsAsyncVec()) {
+  if (!config_.async_prefetch || !reader_->file()->SupportsAsyncVec()) {
     return;
   }
   // A budget-truncated entry already owns the rest of the window; going
   // deeper would fetch cluster N+2 bytes before N+1 is complete.
   if (!pipeline_.empty() && pipeline_.back().truncated) return;
-  uint64_t n_rows = reader_->spec().BasketCountPerBranch();
   uint64_t next_first = pipeline_.empty()
                             ? current_first_row + config_.cluster_rows
                             : pipeline_.back().first_row + config_.cluster_rows;
   while (pipeline_.size() < config_.prefetch_pipeline_clusters &&
-         next_first < n_rows) {
+         next_first < end_row_) {
     uint64_t budget = 0;  // 0 = the whole cluster
     if (config_.prefetch_window_bytes > 0) {
       if (inflight_prefetch_bytes_ >= config_.prefetch_window_bytes) return;
@@ -89,7 +93,7 @@ void TreeCache::TopUpPipeline(uint64_t current_first_row) {
     PlanCluster(next_first, budget, &prefetch.keys, &prefetch.ranges);
     if (prefetch.keys.empty()) return;
     uint64_t rows_in_cluster =
-        std::min<uint64_t>(next_first + config_.cluster_rows, n_rows) -
+        std::min<uint64_t>(next_first + config_.cluster_rows, end_row_) -
         next_first;
     prefetch.truncated =
         prefetch.keys.size() < rows_in_cluster * active_branches_.size();
@@ -124,7 +128,7 @@ Status TreeCache::LoadCluster(uint64_t row) {
     DiscardFrontPrefetch();
   }
 
-  std::vector<std::pair<size_t, uint64_t>> have_keys;
+  std::vector<BasketKey> have_keys;
   if (!pipeline_.empty()) {
     Prefetch prefetch = std::move(pipeline_.front());
     pipeline_.pop_front();
@@ -133,7 +137,7 @@ Status TreeCache::LoadCluster(uint64_t row) {
     // bytes leave the window, so deeper clusters can be issued *before*
     // blocking on it — the refill overlaps with this cluster's wait and
     // decompression both.
-    TopUpPipeline(first_row);
+    if (RefillEngaged()) TopUpPipeline(first_row);
     int64_t wait_start = MonotonicMicros();
     Result<std::vector<std::string>> data = prefetch.pending->Wait();
     stats_.prefetch_wait_micros +=
@@ -151,12 +155,19 @@ Status TreeCache::LoadCluster(uint64_t row) {
     // fetches everything, so a transient in-flight error never doubles.
   }
 
+  // First fill: nothing is known about the path yet, so one window of
+  // upcoming clusters goes on the wire together with this cluster's
+  // demand fetch instead of after it (on a slow path, after it would mean
+  // starting on cold connections one full fetch late). It must follow the
+  // consumption above, which matches the pipeline front to this cluster.
+  if (cluster_ == nullptr) TopUpPipeline(first_row);
+
   // Fetch whatever the prefetch did not cover, synchronously — only the
   // missing suffix, so early bytes are never requested twice.
-  std::vector<std::pair<size_t, uint64_t>> keys;
+  std::vector<BasketKey> keys;
   std::vector<http::ByteRange> ranges;
   PlanCluster(first_row, 0, &keys, &ranges);
-  std::vector<std::pair<size_t, uint64_t>> missing_keys;
+  std::vector<BasketKey> missing_keys;
   std::vector<http::ByteRange> missing_ranges;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (std::find(have_keys.begin(), have_keys.end(), keys[i]) ==
@@ -173,7 +184,8 @@ Status TreeCache::LoadCluster(uint64_t row) {
                            reader_->file()->PReadVec(missing_ranges));
     int64_t fetch_micros = MonotonicMicros() - fetch_start;
     // Adaptive readahead: a whole-cluster synchronous fetch slower than
-    // the threshold marks this as a high-latency path worth prefetching.
+    // the threshold marks this as a high-latency path worth refilling
+    // the window for.
     if (have_keys.empty() &&
         fetch_micros > config_.prefetch_latency_threshold_micros) {
       high_latency_path_ = true;
@@ -184,12 +196,38 @@ Status TreeCache::LoadCluster(uint64_t row) {
     }
   }
   ++stats_.clusters_fetched;
-  cluster_ = std::move(cluster);
 
   // Keep the sliding window full: plan cluster N+1 (and deeper, up to
   // the pipeline depth) while N decompresses.
-  TopUpPipeline(first_row);
+  if (RefillEngaged()) TopUpPipeline(first_row);
+  DecodeCluster(cluster.get());
+  cluster_ = std::move(cluster);
   return Status::OK();
+}
+
+void TreeCache::DecodeCluster(Cluster* cluster) {
+  std::vector<std::map<BasketKey, std::string>::iterator> blobs;
+  for (auto it = cluster->blobs.begin(); it != cluster->blobs.end(); ++it) {
+    blobs.push_back(it);
+  }
+  // One slot per blob: every executor writes only the slots it claimed.
+  std::vector<std::shared_ptr<const std::string>> decoded(blobs.size());
+  ParallelFor(decode_pool_.get(), blobs.size(),
+              decode_pool_->num_threads() + 1, [&](size_t i) {
+                Result<std::string> out =
+                    TreeReader::DecodeBasket(blobs[i]->second);
+                if (out.ok()) {
+                  decoded[i] =
+                      std::make_shared<const std::string>(std::move(*out));
+                }
+              });
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    // A blob that failed stays raw: GetBasket decodes it again and
+    // reports the error on that basket alone.
+    if (decoded[i] == nullptr) continue;
+    cluster->decoded.emplace(blobs[i]->first, std::move(decoded[i]));
+    cluster->blobs.erase(blobs[i]);
+  }
 }
 
 Result<std::shared_ptr<const std::string>> TreeCache::GetBasket(
@@ -221,7 +259,7 @@ Result<std::shared_ptr<const std::string>> TreeCache::GetBasket(
     return shared;
   }
 
-  std::pair<size_t, uint64_t> key(branch, row);
+  BasketKey key(branch, row);
   if (cluster_ == nullptr || ClusterOf(row) != ClusterOf(cluster_->first_row)) {
     DAVIX_RETURN_IF_ERROR(LoadCluster(row));
   }
@@ -230,8 +268,9 @@ Result<std::shared_ptr<const std::string>> TreeCache::GetBasket(
 
   auto blob_it = cluster_->blobs.find(key);
   if (blob_it == cluster_->blobs.end()) {
-    // Branch not in the active set (mis-declared access pattern): fall
-    // back to a single read, like TTreeCache does on a cache miss.
+    // Branch not in the active set (mis-declared access pattern) or row
+    // past the end row: fall back to a single read, like TTreeCache does
+    // on a cache miss.
     const BasketInfo& info = index.baskets[branch][row];
     ++stats_.single_reads;
     DAVIX_ASSIGN_OR_RETURN(std::string blob,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "root/tree_reader.h"
 
 namespace davix {
@@ -22,14 +23,18 @@ struct TreeCacheConfig {
   /// individual data access operations".
   bool enabled = true;
 
-  /// Basket rows (cluster steps) fetched per vectored read.
+  /// Basket rows (cluster steps) fetched per vectored read. All baskets
+  /// of a cluster are decompressed together, in parallel, when it loads.
   uint32_t cluster_rows = 4;
 
   /// Overlap the fetch of upcoming clusters with consumption of the
   /// current one when the transport supports asynchronous vectored reads
   /// (both the XRootD adapter and the dispatcher-backed davix adapter
   /// do). Off by default: the synchronous behaviour is the paper's
-  /// davix design point that Figure 4's WAN column exposes.
+  /// davix design point that Figure 4's WAN column exposes. On, the first
+  /// cluster load puts one window of upcoming clusters on the wire
+  /// together with cluster 0's synchronous fetch (the "first fill");
+  /// `prefetch_latency_threshold_micros` decides whether it is refilled.
   bool async_prefetch = false;
 
   /// How many future clusters may be in flight at once — the pipeline
@@ -49,8 +54,13 @@ struct TreeCacheConfig {
 
   /// Adaptive engagement: read-ahead only pays off on high-latency
   /// paths, so (like adaptive readahead in real HPC clients) the window
-  /// is engaged only once a fully-synchronous cluster fetch has taken
-  /// longer than this threshold. 0 engages it unconditionally.
+  /// keeps refilling only once a fully-synchronous cluster fetch has
+  /// taken longer than this threshold. The latch times cluster 0's fetch
+  /// but does not gate the first fill: nothing is known about the path
+  /// before it, and waiting for that fetch would start the window on cold
+  /// connections. An unlatched (LAN-class) path therefore gets at most
+  /// `prefetch_pipeline_clusters` early clusters, then reads
+  /// synchronously. 0 engages the window unconditionally.
   int64_t prefetch_latency_threshold_micros = 0;
 };
 
@@ -87,10 +97,13 @@ struct TreeCacheStats {
 /// pipelined sliding window (up to `prefetch_pipeline_clusters` in
 /// flight, `prefetch_window_bytes` requested early) so fetch overlaps
 /// decompression and compute — on both XRootD and davix transports.
+/// Once a cluster's blobs are assembled, all of them are decompressed
+/// at once across a pool the cache owns, as TTreeCacheUnzip does.
 ///
 /// Not thread-safe: one cache per analysis job, like TTreeCache. (The
 /// in-flight prefetches it owns run on the transport's own threads; the
-/// destructor drains them before returning.)
+/// destructor drains them before returning. Decompression runs on the
+/// cache's pool only inside a cluster load, which the caller waits out.)
 class TreeCache {
  public:
   /// `reader` must outlive the cache. `active_branches` are indices into
@@ -102,6 +115,13 @@ class TreeCache {
   /// transport callback outlives the cache or its file.
   ~TreeCache();
 
+  /// Declares that the job reads no basket row at or past `end_row`, like
+  /// TTreeCache::SetEntryRange: cluster plans stop there, so neither the
+  /// prefetch window nor a cluster fetch requests bytes the job will not
+  /// use. A basket past it is still served, by a single read. Call it
+  /// before the first GetBasket; values past the tree's end are clamped.
+  void SetEndRow(uint64_t end_row);
+
   /// Decompressed basket `row` of branch `branch`. The returned pointer
   /// stays valid until the cache moves two clusters ahead.
   Result<std::shared_ptr<const std::string>> GetBasket(size_t branch,
@@ -111,19 +131,21 @@ class TreeCache {
   const TreeCacheConfig& config() const { return config_; }
 
  private:
+  using BasketKey = std::pair<size_t, uint64_t>;  // (branch, row)
+
   struct Cluster {
     uint64_t first_row = 0;
-    /// Raw (still compressed) blobs keyed by (branch, row).
-    std::map<std::pair<size_t, uint64_t>, std::string> blobs;
-    /// Decompressed baskets, filled lazily.
-    std::map<std::pair<size_t, uint64_t>, std::shared_ptr<const std::string>>
-        decoded;
+    /// Raw (still compressed) blobs: fetched but not yet decoded, or
+    /// failed to decode (GetBasket then reports the error on that basket).
+    std::map<BasketKey, std::string> blobs;
+    /// Decompressed baskets.
+    std::map<BasketKey, std::shared_ptr<const std::string>> decoded;
   };
 
   /// One in-flight async prefetch of (a prefix of) a future cluster.
   struct Prefetch {
     uint64_t first_row = 0;
-    std::vector<std::pair<size_t, uint64_t>> keys;  // range order
+    std::vector<BasketKey> keys;  // range order
     std::vector<http::ByteRange> ranges;
     std::unique_ptr<PendingVecRead> pending;
     /// Sum of the requested range lengths, held against the window
@@ -139,37 +161,57 @@ class TreeCache {
   }
 
   /// Ranges + keys of cluster starting at `first_row`, capped at
-  /// `byte_budget` (0 = no cap). Ranges follow file-offset order.
+  /// `byte_budget` (0 = no cap) and at end_row_. Ranges follow
+  /// file-offset order.
   void PlanCluster(uint64_t first_row, uint64_t byte_budget,
-                   std::vector<std::pair<size_t, uint64_t>>* keys,
+                   std::vector<BasketKey>* keys,
                    std::vector<http::ByteRange>* ranges) const;
 
   /// Makes `cluster_` hold the cluster containing `row`: consumes the
   /// matching pipelined prefetch (discarding mismatched ones), fetches
-  /// the uncovered remainder synchronously, then tops the pipeline back
-  /// up with fetches of upcoming clusters.
+  /// the uncovered remainder synchronously, tops the pipeline back up
+  /// with fetches of upcoming clusters, then decodes the cluster.
   Status LoadCluster(uint64_t row);
+
+  /// Decodes every blob of `cluster` in parallel on decode_pool_ (the
+  /// calling thread takes part) and moves it into `decoded`. A blob that
+  /// fails to decode stays in `blobs`.
+  void DecodeCluster(Cluster* cluster);
 
   /// Pops the front pipeline entry, waits out its transport call, and
   /// counts it as a discard (its bytes are dropped).
   void DiscardFrontPrefetch();
 
+  /// True once the window may refill: unconditionally without a latency
+  /// threshold, otherwise after the latch has tripped.
+  bool RefillEngaged() const {
+    return config_.prefetch_latency_threshold_micros == 0 ||
+           high_latency_path_;
+  }
+
   /// Starts new prefetches for clusters after `current_first_row` (or
-  /// after the deepest already in flight) until the pipeline depth or
-  /// the window byte budget is reached.
+  /// after the deepest already in flight) until the pipeline depth, the
+  /// window byte budget or end_row_ is reached. No-op unless
+  /// async_prefetch is on and the transport supports async reads.
   void TopUpPipeline(uint64_t current_first_row);
 
   TreeReader* reader_;
   std::vector<size_t> active_branches_;
   TreeCacheConfig config_;
   TreeCacheStats stats_;
+  /// Basket rows at or past this are never planned into a cluster fetch.
+  uint64_t end_row_ = 0;
   std::unique_ptr<Cluster> cluster_;
+  /// Decompression workers: hardware_concurrency() - 1 (at least one);
+  /// the loading thread is the last executor. Null in naive mode.
+  std::unique_ptr<ThreadPool> decode_pool_;
   /// In-flight prefetches, ordered by first_row (front = next expected).
   std::deque<Prefetch> pipeline_;
   /// Sum of planned_bytes across pipeline_ — the window occupancy.
   uint64_t inflight_prefetch_bytes_ = 0;
   /// Latched true once a synchronous fetch crossed the latency
-  /// threshold; gates async prefetch when a threshold is configured.
+  /// threshold; gates refills of the async window when a threshold is
+  /// configured.
   bool high_latency_path_ = false;
   /// Naive-mode state: current basket per branch.
   std::map<size_t, std::pair<uint64_t, std::shared_ptr<const std::string>>>

@@ -322,6 +322,21 @@ TEST_F(DavPosixTest, ListDirNamesChildren) {
   EXPECT_EQ(names, (std::vector<std::string>{"sub", "x", "y"}));
 }
 
+TEST_F(DavPosixTest, ListDirIgnoresTrailingSlash) {
+  std::vector<std::string> expected;
+  for (int i = 0; i < 64; ++i) {
+    expected.push_back("obj" + std::to_string(i));
+    server_.store->Put("/r/0/" + expected.back(), "x");
+  }
+  std::sort(expected.begin(), expected.end());
+  for (const char* path : {"/r/0", "/r/0/"}) {
+    ASSERT_OK_AND_ASSIGN(auto names,
+                         posix_->ListDir(server_.UrlFor(path), params_));
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, expected) << path;
+  }
+}
+
 TEST_F(DavPosixTest, ConcurrentPReadsShareDescriptor) {
   ASSERT_OK_AND_ASSIGN(int fd,
                        posix_->Open(server_.UrlFor("/f.bin"), params_));

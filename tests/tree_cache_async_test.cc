@@ -6,6 +6,11 @@
 //    or skipping a basket byte,
 //  - budget-truncated prefixes are only issued as the immediate next
 //    cluster, never deep in the pipeline,
+//  - the first fill goes on the wire before cluster 0's demand fetch, and
+//    an unlatched path never refills it,
+//  - the end row keeps the window from fetching past the job's last row,
+//  - parallel cluster decode is byte-identical to serial decode, and a
+//    corrupt basket fails alone,
 //  - seeks discard stale in-flight prefetches (counted, drained),
 //  - in-flight errors degrade to the synchronous path: a failed prefetch
 //    alone never surfaces, a failed prefetch plus a failed fallback
@@ -83,6 +88,7 @@ class LatchVecFile : public RandomAccessFile {
   Result<std::vector<std::string>> PReadVec(
       const std::vector<http::ByteRange>& ranges) override {
     ++sync_vec_calls_;
+    call_order_ += 's';
     std::vector<std::string> out;
     for (const http::ByteRange& r : ranges) {
       bytes_requested_ += r.length;
@@ -97,9 +103,11 @@ class LatchVecFile : public RandomAccessFile {
   std::unique_ptr<PendingVecRead> PReadVecAsync(
       const std::vector<http::ByteRange>& ranges) override {
     ++async_calls_started_;
+    call_order_ += 'a';
     uint64_t bytes = 0;
     for (const http::ByteRange& r : ranges) bytes += r.length;
     last_async_bytes_ = bytes;
+    async_ranges_.insert(async_ranges_.end(), ranges.begin(), ranges.end());
     class Pending : public PendingVecRead {
      public:
       Pending(LatchVecFile* file, std::vector<http::ByteRange> ranges)
@@ -128,6 +136,12 @@ class LatchVecFile : public RandomAccessFile {
   uint64_t last_async_bytes() const { return last_async_bytes_; }
   uint64_t sync_vec_calls() const { return sync_vec_calls_; }
   uint64_t bytes_requested() const { return bytes_requested_; }
+  /// One letter per vectored call, in call order: 'a' async, 's' sync.
+  const std::string& call_order() const { return call_order_; }
+  /// Every range any async call asked for.
+  const std::vector<http::ByteRange>& async_ranges() const {
+    return async_ranges_;
+  }
 
  private:
   Result<std::string> Slice(uint64_t offset, uint64_t length) const {
@@ -137,6 +151,9 @@ class LatchVecFile : public RandomAccessFile {
 
   std::string data_;
   Gate gate_;
+  // Vectored calls are issued by the cache's own thread only.
+  std::string call_order_;
+  std::vector<http::ByteRange> async_ranges_;
   std::atomic<uint64_t> async_calls_started_{0};
   std::atomic<uint64_t> last_async_bytes_{0};
   std::atomic<uint64_t> sync_vec_calls_{0};
@@ -346,6 +363,10 @@ TEST(TreeCachePipelineTest, LatencyLatchEngagesOnSlowSyncFetch) {
     }
   };
 
+  struct Out {
+    uint64_t async_prefetches;
+    uint64_t async_calls_started;
+  };
   auto run = [&](int64_t threshold_micros) {
     SlowSyncFile file(tree);
     auto reader = TreeReader::Open(&file);
@@ -362,13 +383,135 @@ TEST(TreeCachePipelineTest, LatencyLatchEngagesOnSlowSyncFetch) {
         EXPECT_TRUE(cache.GetBasket(b, row).ok());
       }
     }
-    return cache.stats().async_prefetches;
+    return Out{cache.stats().async_prefetches, file.async_calls_started()};
   };
 
   // Cluster 0's synchronous fetch sleeps 20 ms: a 5 ms threshold latches
-  // the high-latency path, a 60 s threshold never does.
-  EXPECT_GT(run(5'000), 0u);
-  EXPECT_EQ(run(60'000'000), 0u);
+  // the high-latency path and the window keeps refilling.
+  EXPECT_GT(run(5'000).async_prefetches, 0u);
+  // A 60 s threshold never latches: only the first fill goes early, one
+  // pipeline's worth, and nothing refills it for the rest of the scan.
+  Out gated = run(60'000'000);
+  EXPECT_EQ(gated.async_prefetches, 2u);
+  EXPECT_EQ(gated.async_calls_started, 2u);
+}
+
+TEST(TreeCachePipelineTest, FirstFillGoesOutBeforeTheDemandFetch) {
+  TreeSpec spec = SmallSpec();
+  std::string tree = BuildTreeFile(spec, 20);
+  LatchVecFile file(tree);
+  ASSERT_OK_AND_ASSIGN(TreeReader reader, TreeReader::Open(&file));
+  TreeCacheConfig config;
+  config.cluster_rows = 2;
+  config.async_prefetch = true;
+  config.prefetch_pipeline_clusters = 2;
+  config.prefetch_window_bytes = 0;
+  config.prefetch_latency_threshold_micros = 60'000'000;
+  TreeCache cache(&reader, {}, config);
+
+  // Gate closed, latch far away: cluster 0's synchronous fetch still
+  // comes after the first fill's two async calls are on the wire.
+  ASSERT_OK(cache.GetBasket(0, 0).status());
+  EXPECT_EQ(file.call_order(), "aas");
+  EXPECT_EQ(cache.stats().async_prefetches, 0u);
+  file.OpenGate();  // lets the destructor drain the fill
+}
+
+TEST(TreeCachePipelineTest, EndRowStopsThePrefetchWindow) {
+  TreeSpec spec = SmallSpec();
+  std::string tree = BuildTreeFile(spec, 22);
+  ASSERT_OK_AND_ASSIGN(TreeIndex index, ParseTreeIndex(tree));
+  AnalysisConfig config;
+  config.fraction = 0.3;  // events 0..299 = basket rows 0..2
+  config.compute_iterations_per_event = 0;
+  config.cache.cluster_rows = 2;
+  config.cache.async_prefetch = true;
+  config.cache.prefetch_pipeline_clusters = 2;
+  config.cache.prefetch_window_bytes = 0;
+  const uint64_t end_row = 3;
+
+  MemoryFile truth_file(tree);
+  ASSERT_OK_AND_ASSIGN(AnalysisReport truth, RunAnalysis(&truth_file, config));
+  LatchVecFile file(tree);
+  file.OpenGate();
+  ASSERT_OK_AND_ASSIGN(AnalysisReport report, RunAnalysis(&file, config));
+  EXPECT_EQ(report.physics_sum, truth.physics_sum);
+
+  // Every async call was consumed (so the destructor found nothing to
+  // discard), and none asked for a basket at or past the end row.
+  EXPECT_EQ(report.io.prefetch_discards, 0u);
+  EXPECT_EQ(report.io.async_prefetches, 1u);  // cluster 1 = row 2 only
+  EXPECT_EQ(file.async_calls_started(), report.io.async_prefetches);
+  for (const http::ByteRange& range : file.async_ranges()) {
+    bool in_range = false;
+    for (const auto& branch : index.baskets) {
+      for (uint64_t row = 0; row < end_row; ++row) {
+        in_range |= branch[row].offset == range.offset;
+      }
+    }
+    EXPECT_TRUE(in_range) << "async range at offset " << range.offset;
+  }
+  EXPECT_EQ(report.io.bytes_fetched, ClusterStoredBytes(index, 0, end_row));
+}
+
+// ------------------------------------------------------- parallel decode
+
+TEST(TreeCacheDecodeTest, ParallelDecodeMatchesSerialDecode) {
+  for (uint64_t seed : {1, 2, 3, 4, 5}) {
+    TreeSpec spec = SmallSpec();
+    std::string tree = BuildTreeFile(spec, seed);
+    ASSERT_OK_AND_ASSIGN(TreeIndex index, ParseTreeIndex(tree));
+    MemoryFile file(tree);
+    ASSERT_OK_AND_ASSIGN(TreeReader reader, TreeReader::Open(&file));
+    TreeCacheConfig config;
+    config.cluster_rows = 4;
+    TreeCache cache(&reader, {}, config);
+    for (uint64_t row = 0; row < spec.BasketCountPerBranch(); ++row) {
+      for (size_t b = 0; b < spec.branches.size(); ++b) {
+        const BasketInfo& info = index.baskets[b][row];
+        ASSERT_OK_AND_ASSIGN(std::string serial,
+                             TreeReader::DecodeBasket(tree.substr(
+                                 info.offset, info.stored_length)));
+        ASSERT_OK_AND_ASSIGN(auto parallel, cache.GetBasket(b, row));
+        EXPECT_EQ(*parallel, serial)
+            << "seed " << seed << " basket (" << b << "," << row << ")";
+      }
+    }
+    EXPECT_EQ(cache.stats().single_reads, 0u);
+  }
+}
+
+TEST(TreeCacheDecodeTest, CorruptBasketFailsAloneWithCorruption) {
+  TreeSpec spec = SmallSpec();
+  std::string tree = BuildTreeFile(spec, 23);
+  ASSERT_OK_AND_ASSIGN(TreeIndex index, ParseTreeIndex(tree));
+  MemoryFile truth_file(tree);
+  ASSERT_OK_AND_ASSIGN(TreeReader truth_reader, TreeReader::Open(&truth_file));
+  TreeCache truth(&truth_reader, {});
+
+  // Break the frame magic of basket (branch 1, row 1), inside cluster 0.
+  std::string broken = tree;
+  broken[index.baskets[1][1].offset] ^= 0x5A;
+  MemoryFile file(broken);
+  ASSERT_OK_AND_ASSIGN(TreeReader reader, TreeReader::Open(&file));
+  TreeCacheConfig config;
+  config.cluster_rows = 2;
+  TreeCache cache(&reader, {}, config);
+
+  auto corrupt = cache.GetBasket(1, 1);
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_EQ(corrupt.status().code(), StatusCode::kCorruption);
+  // The rest of cluster 0 is served, and cluster 1 loads normally.
+  for (uint64_t row = 0; row < 4; ++row) {
+    for (size_t b = 0; b < spec.branches.size(); ++b) {
+      if (b == 1 && row == 1) continue;
+      ASSERT_OK_AND_ASSIGN(auto basket, cache.GetBasket(b, row));
+      ASSERT_OK_AND_ASSIGN(auto expected, truth.GetBasket(b, row));
+      EXPECT_EQ(*basket, *expected) << "basket (" << b << "," << row << ")";
+    }
+  }
+  EXPECT_EQ(cache.stats().clusters_fetched, 2u);
+  EXPECT_EQ(cache.stats().single_reads, 0u);
 }
 
 TEST(TreeCachePipelineTest, SeekDiscardsStalePrefetchesAndRecovers) {
