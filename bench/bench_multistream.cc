@@ -13,7 +13,10 @@
 // so stripes aggregate). A second phase reruns the striped WAN download
 // against a warm per-Context block cache: the rerun must issue zero
 // chunk range-GETs. Every delivered stream is CRC-verified; the binary
-// exits non-zero on any mismatch or on warm-cache wire traffic.
+// exits non-zero on any mismatch or on warm-cache wire traffic. A full
+// run repeats every cell 5 times (--smoke: once), each on a fresh
+// deployment, and reports its median with min and max; the summary
+// ratio is taken from the medians.
 
 #include "bench/bench_util.h"
 #include "common/checksum.h"
@@ -77,105 +80,136 @@ core::RequestParams MultiSourceParams(const Deployment& d, size_t streams,
   return params;
 }
 
-/// One throughput cell: download via the ReplicaSet path with the given
-/// stream count. Returns the wall seconds (for the summary ratio).
+/// One throughput cell: `reps` downloads via the ReplicaSet path with the
+/// given stream count, each on a fresh deployment and Context (cold
+/// pool, like a job). Returns the median wall seconds (for the summary
+/// ratio); the counters are the last run's.
 double RunCell(const netsim::LinkProfile& link, const std::string& body,
-               size_t streams, uint64_t chunk_bytes, JsonReporter* json) {
-  Deployment d = Deploy(link, body);
-  core::Context context;
-  core::RequestParams params = MultiSourceParams(d, streams, chunk_bytes);
-  params.use_block_cache = false;  // throughput cells measure the wire
+               size_t streams, uint64_t chunk_bytes, int reps,
+               JsonReporter* json) {
+  SampleStats seconds;
+  bool ok = true;
+  IoCounters io;
+  std::vector<uint64_t> replica_requests;
+  for (int rep = 0; rep < reps; ++rep) {
+    Deployment d = Deploy(link, body);
+    core::Context context;
+    core::RequestParams params = MultiSourceParams(d, streams, chunk_bytes);
+    params.use_block_cache = false;  // throughput cells measure the wire
 
-  core::HttpClient client(&context);
-  core::MetalinkEngine engine(&client);
-  Stopwatch stopwatch;
-  Result<std::string> data =
-      engine.MultiStreamGet(*Uri::Parse(d.replicas[0].UrlFor(kPath)), params);
-  double total = stopwatch.ElapsedSeconds();
+    core::HttpClient client(&context);
+    core::MetalinkEngine engine(&client);
+    Stopwatch stopwatch;
+    Result<std::string> data = engine.MultiStreamGet(
+        *Uri::Parse(d.replicas[0].UrlFor(kPath)), params);
+    seconds.Add(stopwatch.ElapsedSeconds());
 
-  bool ok = data.ok() && Crc32(*data) == Crc32(body);
-  if (!ok) {
-    std::fprintf(stderr, "download failed: %s\n",
-                 data.ok() ? "crc mismatch" : data.status().ToString().c_str());
-    g_verify_failed = true;
+    if (!data.ok() || Crc32(*data) != Crc32(body)) {
+      std::fprintf(stderr, "download failed: %s\n",
+                   data.ok() ? "crc mismatch"
+                             : data.status().ToString().c_str());
+      g_verify_failed = true;
+      ok = false;
+    }
+    io = context.SnapshotCounters();
+    replica_requests.clear();
+    for (const HttpNode& replica : d.replicas) {
+      replica_requests.push_back(replica.handler->stats().get_requests.load());
+    }
+    d.Stop();
   }
-  IoCounters io = context.SnapshotCounters();
-  double mbps = static_cast<double>(body.size()) / total / 1e6;
-  std::printf("%-6s %8zu %10.3f %12.1f %11llu %10llu  ", link.name.c_str(),
-              streams, total, mbps,
-              static_cast<unsigned long long>(io.multisource_chunks),
+  double median = seconds.Percentile(50);
+  double mbps = static_cast<double>(body.size()) / median / 1e6;
+  std::printf("%-6s %8zu %10.3f %6.3f-%-6.3f %9.1f %11llu %10llu  ",
+              link.name.c_str(), streams, median, seconds.Min(), seconds.Max(),
+              mbps, static_cast<unsigned long long>(io.multisource_chunks),
               static_cast<unsigned long long>(io.replica_failovers));
   JsonReporter::Row& row = json->AddRow()
                                .Str("link", link.name)
                                .Str("scenario", "throughput")
                                .Int("streams", streams)
-                               .Num("seconds", total)
+                               .Median("seconds", seconds)
                                .Num("mbps", mbps)
                                .Int("chunk_range_gets", io.multisource_chunks)
                                .Int("failovers", io.replica_failovers)
                                .Int("verified", ok ? 1 : 0);
   uint64_t total_requests = 0;
-  for (size_t i = 0; i < d.replicas.size(); ++i) {
-    uint64_t requests = d.replicas[i].handler->stats().get_requests.load();
+  for (size_t i = 0; i < replica_requests.size(); ++i) {
+    uint64_t requests = replica_requests[i];
     total_requests += requests;
     std::printf(" %4llu", static_cast<unsigned long long>(requests));
     row.Int("replica" + std::to_string(i) + "_requests", requests);
   }
   row.Int("total_requests", total_requests);
   std::printf("\n");
-  d.Stop();
-  return total;
+  return median;
 }
 
-/// Warm-cache phase: cold striped download fills the per-Context block
-/// cache; the rerun must be served entirely by the cache probe — zero
-/// chunk range-GETs on the wire.
+/// Warm-cache phase, `reps` times on a fresh deployment and Context:
+/// the cold striped download fills the per-Context block cache; the
+/// rerun must be served entirely by the cache probe — zero chunk
+/// range-GETs on the wire.
 void RunCachePhase(const netsim::LinkProfile& link, const std::string& body,
-                   uint64_t chunk_bytes, JsonReporter* json) {
-  Deployment d = Deploy(link, body);
-  core::BlockCacheConfig cache_config;
-  cache_config.capacity_bytes = 64ull << 20;
-  core::Context context(core::SessionPoolConfig{}, 0, cache_config);
-  core::RequestParams params = MultiSourceParams(d, 3, chunk_bytes);
-  core::HttpClient client(&context);
-  core::MetalinkEngine engine(&client);
-  Uri resource = *Uri::Parse(d.replicas[0].UrlFor(kPath));
+                   uint64_t chunk_bytes, int reps, JsonReporter* json) {
+  const char* const kPhases[] = {"cold", "warm"};
+  SampleStats seconds[2];
+  uint64_t range_gets[2] = {};
+  uint64_t cache_chunks[2] = {};
+  bool ok[2] = {true, true};
+  for (int rep = 0; rep < reps; ++rep) {
+    Deployment d = Deploy(link, body);
+    core::BlockCacheConfig cache_config;
+    cache_config.capacity_bytes = 64ull << 20;
+    core::Context context(core::SessionPoolConfig{}, 0, cache_config);
+    core::RequestParams params = MultiSourceParams(d, 3, chunk_bytes);
+    core::HttpClient client(&context);
+    core::MetalinkEngine engine(&client);
+    Uri resource = *Uri::Parse(d.replicas[0].UrlFor(kPath));
 
-  for (const char* phase : {"cold", "warm"}) {
-    IoCounters before = context.SnapshotCounters();
-    Stopwatch stopwatch;
-    Result<std::string> data = engine.MultiStreamGet(resource, params);
-    double total = stopwatch.ElapsedSeconds();
-    IoCounters after = context.SnapshotCounters();
-    uint64_t range_gets = after.multisource_chunks - before.multisource_chunks;
-    uint64_t cache_chunks =
-        after.multisource_cache_chunks - before.multisource_cache_chunks;
+    for (int phase = 0; phase < 2; ++phase) {
+      IoCounters before = context.SnapshotCounters();
+      Stopwatch stopwatch;
+      Result<std::string> data = engine.MultiStreamGet(resource, params);
+      seconds[phase].Add(stopwatch.ElapsedSeconds());
+      IoCounters after = context.SnapshotCounters();
+      range_gets[phase] =
+          after.multisource_chunks - before.multisource_chunks;
+      cache_chunks[phase] =
+          after.multisource_cache_chunks - before.multisource_cache_chunks;
 
-    bool ok = data.ok() && Crc32(*data) == Crc32(body);
-    bool warm = std::string(phase) == "warm";
-    if (warm && range_gets != 0) {
-      std::fprintf(stderr,
-                   "warm rerun put %llu chunk range-GETs on the wire\n",
-                   static_cast<unsigned long long>(range_gets));
-      ok = false;
+      bool good = data.ok() && Crc32(*data) == Crc32(body);
+      if (phase == 1 && range_gets[phase] != 0) {
+        std::fprintf(stderr,
+                     "warm rerun put %llu chunk range-GETs on the wire\n",
+                     static_cast<unsigned long long>(range_gets[phase]));
+        good = false;
+      }
+      if (!good) {
+        ok[phase] = false;
+        g_verify_failed = true;
+      }
     }
-    if (!ok) g_verify_failed = true;
-    double mbps = static_cast<double>(body.size()) / total / 1e6;
-    std::printf("%-6s %8s %10.3f %12.1f %11llu %10llu\n", link.name.c_str(),
-                phase, total, mbps,
-                static_cast<unsigned long long>(range_gets),
-                static_cast<unsigned long long>(cache_chunks));
+    d.Stop();
+  }
+
+  for (int phase = 0; phase < 2; ++phase) {
+    double median = seconds[phase].Percentile(50);
+    double mbps = static_cast<double>(body.size()) / median / 1e6;
+    std::printf("%-6s %8s %10.3f %6.3f-%-6.3f %9.1f %11llu %10llu\n",
+                link.name.c_str(), kPhases[phase], median,
+                seconds[phase].Min(), seconds[phase].Max(), mbps,
+                static_cast<unsigned long long>(range_gets[phase]),
+                static_cast<unsigned long long>(cache_chunks[phase]));
     json->AddRow()
         .Str("link", link.name)
-        .Str("scenario", std::string("cache_") + phase)
+        .Str("scenario", std::string("cache_") + kPhases[phase])
         .Int("streams", 3)
-        .Num("seconds", total)
+        .Median("seconds", seconds[phase])
         .Num("mbps", mbps)
-        .Int("chunk_range_gets", range_gets)
-        .Int("cache_chunks", cache_chunks)
-        .Int("verified", ok ? 1 : 0);
+        .Int("chunk_range_gets", range_gets[phase])
+        .Int("cache_chunks", cache_chunks[phase])
+        .Int("verified", ok[phase] ? 1 : 0);
   }
-  d.Stop();
 }
 
 }  // namespace
@@ -191,10 +225,11 @@ int main(int argc, char** argv) {
   Rng rng(6);
   std::string body = rng.Bytes(ObjectBytes(args.smoke));
   uint64_t chunk_bytes = ChunkBytes(args.smoke);
+  int reps = args.smoke ? 1 : 5;
 
   JsonReporter json("multisource");
-  std::printf("%-6s %8s %10s %12s %11s %10s   %s\n", "link", "streams",
-              "time[s]", "MB/s", "chunk-GETs", "failovers",
+  std::printf("%-6s %8s %10s %13s %9s %11s %10s   %s\n", "link", "streams",
+              "median[s]", "min-max[s]", "MB/s", "chunk-GETs", "failovers",
               "requests per replica");
   std::vector<netsim::LinkProfile> links =
       args.smoke
@@ -205,7 +240,7 @@ int main(int argc, char** argv) {
     double single_seconds = 0;
     double seconds = 0;
     for (size_t streams : {1u, 2u, 3u}) {
-      seconds = RunCell(link, body, streams, chunk_bytes, &json);
+      seconds = RunCell(link, body, streams, chunk_bytes, reps, &json);
       if (streams == 1) single_seconds = seconds;
     }
     double striped_over_single = seconds > 0 ? single_seconds / seconds : 0;
@@ -217,12 +252,13 @@ int main(int argc, char** argv) {
         .Num("striped_over_single", striped_over_single);
   }
 
-  std::printf("\nwarm-cache rerun (striped, %s):\n%-6s %8s %10s %12s %11s %10s\n",
-              args.smoke ? "LAN" : "WAN", "link", "phase", "time[s]", "MB/s",
-              "chunk-GETs", "cache-hits");
+  std::printf(
+      "\nwarm-cache rerun (striped, %s):\n%-6s %8s %10s %13s %9s %11s %10s\n",
+      args.smoke ? "LAN" : "WAN", "link", "phase", "median[s]", "min-max[s]",
+      "MB/s", "chunk-GETs", "cache-hits");
   RunCachePhase(args.smoke ? netsim::LinkProfile::Lan()
                            : netsim::LinkProfile::Wan(),
-                body, chunk_bytes, &json);
+                body, chunk_bytes, reps, &json);
 
   json.WriteTo(args.json_path);
   std::printf(

@@ -6,11 +6,12 @@
 // Ablation A: xrootd sequential read of a 16 MiB object at WAN with
 // sliding-window sizes 0 (pure synchronous) to 8 chunks in flight.
 // Ablation B: the davix side — sequential DavPosix reads with the
-// synchronous read-ahead buffer (cuts request count but stalls a full
-// RTT per refill) versus the asynchronous sliding window
-// (readahead_window_chunks, same chunk size, fetches overlapped on the
-// per-Context dispatcher pool), which is the XRootD mechanism ported to
-// the HTTP stack.
+// synchronous read-ahead buffer (depth 0 of the window: cuts request
+// count but stalls a full RTT per refill) versus the asynchronous
+// sliding window (readahead_window_chunks, same chunk size, fetches
+// overlapped on the per-Context dispatcher pool), which is the XRootD
+// mechanism ported to the HTTP stack. A full run repeats every cell 5
+// times (--smoke: once) and reports its median with min and max.
 //
 // Every run verifies byte-identical delivery: the CRC32 of the
 // consumed stream must equal the CRC32 of the stored object.
@@ -77,25 +78,37 @@ RunOutcome Consume(ReadFn read, uint32_t expect_crc, uint64_t expect_bytes) {
   return outcome;
 }
 
-void Report(JsonReporter* json, const netsim::LinkProfile& link,
-            const char* reader, uint64_t chunk_bytes, size_t window,
-            const RunOutcome& outcome) {
+/// Runs one cell `reps` times and reports it: median seconds (the
+/// returned outcome carries it, for the summary gate) with min and max;
+/// request counts are the last run's.
+template <typename RunFn>
+RunOutcome RunAndReport(JsonReporter* json, const netsim::LinkProfile& link,
+                        const char* reader, uint64_t chunk_bytes,
+                        size_t window, int reps, RunFn run) {
+  SampleStats seconds;
+  RunOutcome outcome;
+  for (int rep = 0; rep < reps; ++rep) {
+    outcome = run();
+    seconds.Add(outcome.seconds);
+  }
+  outcome.seconds = seconds.Percentile(50);
   double mbps = outcome.consumed / outcome.seconds / 1e6;
-  std::printf("%-6s %-12s chunk=%-8llu window=%zu %10.3f %12.1f %10llu\n",
-              link.name.c_str(), reader,
-              static_cast<unsigned long long>(chunk_bytes), window,
-              outcome.seconds, mbps,
-              static_cast<unsigned long long>(outcome.requests));
+  std::printf(
+      "%-6s %-12s chunk=%-8llu window=%zu %10.3f %6.3f-%-6.3f %9.1f %10llu\n",
+      link.name.c_str(), reader, static_cast<unsigned long long>(chunk_bytes),
+      window, outcome.seconds, seconds.Min(), seconds.Max(), mbps,
+      static_cast<unsigned long long>(outcome.requests));
   json->AddRow()
       .Str("link", link.name)
       .Str("reader", reader)
       .Int("chunk_bytes", chunk_bytes)
       .Int("window_chunks", window)
-      .Num("seconds", outcome.seconds)
+      .Median("seconds", seconds)
       .Num("mbps", mbps)
       .Int("requests", outcome.requests)
       .Int("bytes", outcome.consumed)
       .Int("verified", outcome.verified ? 1 : 0);
+  return outcome;
 }
 
 RunOutcome RunXrdWindow(const netsim::LinkProfile& link,
@@ -154,6 +167,7 @@ int main(int argc, char** argv) {
   PrintHeader("E7: sliding-window read-ahead ablation",
               "§3 of the libdavix paper (XRootD's WAN advantage)");
   size_t object_bytes = ObjectBytes(args.smoke);
+  int reps = args.smoke ? 1 : 5;
   auto store = std::make_shared<httpd::ObjectStore>();
   Rng rng(7);
   std::string content = rng.Bytes(object_bytes);
@@ -161,15 +175,16 @@ int main(int argc, char** argv) {
   store->Put(kPath, std::move(content));
 
   JsonReporter json("readahead_ablation");
-  std::printf("%-6s %-12s %-25s %10s %12s %10s\n", "link", "reader", "shape",
-              "time[s]", "MB/s", "requests");
+  std::printf("%-6s %-12s %-25s %10s %13s %9s %10s\n", "link", "reader",
+              "shape", "median[s]", "min-max[s]", "MB/s", "requests");
   netsim::LinkProfile wan = netsim::LinkProfile::Wan();
 
   std::vector<size_t> xrd_windows =
       args.smoke ? std::vector<size_t>{0, 4} : std::vector<size_t>{0, 1, 2, 4, 8};
   for (size_t window : xrd_windows) {
-    RunOutcome outcome = RunXrdWindow(wan, store, window, crc, object_bytes);
-    Report(&json, wan, "xrootd", kChunkBytes, window, outcome);
+    RunAndReport(&json, wan, "xrootd", kChunkBytes, window, reps, [&] {
+      return RunXrdWindow(wan, store, window, crc, object_bytes);
+    });
   }
 
   // Davix synchronous read-ahead: one buffered window, refilled with a
@@ -179,9 +194,10 @@ int main(int argc, char** argv) {
                  : std::vector<uint64_t>{0, kChunkBytes, 4ull << 20};
   RunOutcome sync_at_chunk;
   for (uint64_t readahead : sync_readaheads) {
-    RunOutcome outcome = RunDavix(wan, store, readahead, 0, crc, object_bytes);
+    RunOutcome outcome = RunAndReport(
+        &json, wan, "davix-sync", readahead, 0, reps,
+        [&] { return RunDavix(wan, store, readahead, 0, crc, object_bytes); });
     if (readahead == kChunkBytes) sync_at_chunk = outcome;
-    Report(&json, wan, "davix-sync", readahead, 0, outcome);
   }
 
   // Davix asynchronous sliding window at the same chunk size: the
@@ -191,10 +207,11 @@ int main(int argc, char** argv) {
       args.smoke ? std::vector<size_t>{4} : std::vector<size_t>{2, 4, 8};
   RunOutcome async_at_four;
   for (size_t window : async_windows) {
-    RunOutcome outcome =
-        RunDavix(wan, store, kChunkBytes, window, crc, object_bytes);
+    RunOutcome outcome = RunAndReport(
+        &json, wan, "davix-async", kChunkBytes, window, reps, [&] {
+          return RunDavix(wan, store, kChunkBytes, window, crc, object_bytes);
+        });
     if (window == 4) async_at_four = outcome;
-    Report(&json, wan, "davix-async", kChunkBytes, window, outcome);
   }
 
   double speedup = async_at_four.seconds > 0

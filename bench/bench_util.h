@@ -75,6 +75,14 @@ class JsonReporter {
       fields_.emplace_back(key, std::to_string(value));
       return *this;
     }
+    /// A repeated measurement: its median under `key`, with `key`_min,
+    /// `key`_max and the sample count `reps` beside it.
+    Row& Median(const std::string& key, const SampleStats& samples) {
+      Num(key, samples.Percentile(50));
+      Num(key + "_min", samples.Min());
+      Num(key + "_max", samples.Max());
+      return Int("reps", samples.count());
+    }
 
    private:
     friend class JsonReporter;

@@ -12,7 +12,9 @@ Seven rules, enforced with nothing but the standard library:
      locking goes through the Clang-capability-annotated wrappers so the
      `-Werror=thread-safety` analysis sees it;
   4. heuristic: inside a closure handed to a dispatcher
-     (`Submit(...)` / `ParallelFor(...)` / `ParallelForCancellable(...)`),
+     (`Submit(...)` / `ParallelFor(...)` / `ParallelForCancellable(...)`,
+     or a read-ahead window's fetch function: `ReadAheadStream name(...)`
+     / `std::make_unique<ReadAheadStream>(...)`, run on pool threads),
      a `++`/`--`/`+=`/`-=` mutation must target a counter that is
      `std::atomic` in the same file, be declared locally in the closure,
      or happen after the closure acquired a MutexLock;
@@ -72,7 +74,9 @@ BARE_SLEEP_RE = re.compile(r"\bSleepForMicros\s*\(")
 # Rule 5: the one file allowed to sleep in src/core — the sanctioned
 # jittered/budgeted pause primitives themselves.
 ALLOWED_CORE_SLEEP = {"src/core/resilience.cc"}
-DISPATCH_RE = re.compile(r"\b(Submit|ParallelFor|ParallelForCancellable)\s*\(")
+DISPATCH_RE = re.compile(
+    r"\b(?:Submit|ParallelFor|ParallelForCancellable|"
+    r"ReadAheadStream\s+\w+|std::make_unique<ReadAheadStream>)\s*\(")
 # Rule 7: files whose socket writes carry interleaved mux frames.
 MUX_WRITE_FILES_RE = re.compile(
     r"^src/(muxhttp/|core/mux_transport\.(h|cc)$)")

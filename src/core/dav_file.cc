@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <unordered_map>
 
 #include "common/base64.h"
-#include "common/clock.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "core/block_cache.h"
@@ -94,27 +94,16 @@ Result<T> DavFile::WithFailover(
     // no Metalink refetch on failure — and feed every outcome back into
     // the health state, so repeatedly failing sources sink in rank and
     // quarantine out of the rotation.
-    Status last =
-        Status::AllReplicasFailed("replica set has no usable source");
-    bool first = true;
-    for (const std::shared_ptr<ReplicaSource>& source :
-         replica_set_->RankedSources()) {
-      if (!first) {
-        context_->stats().replica_failovers.fetch_add(
-            1, std::memory_order_relaxed);
-        DAVIX_LOG(kDebug) << "failing over to replica "
-                          << source->url().ToString();
-      }
-      first = false;
-      int64_t start = MonotonicMicros();
-      Result<T> attempt = op(source->url(), params);
-      if (attempt.ok()) {
-        replica_set_->RecordSuccess(source, MonotonicMicros() - start);
-        return attempt;
-      }
-      replica_set_->RecordFailure(source);
-      if (!ShouldFailover(attempt.status())) return attempt;
-      last = attempt.status();
+    std::optional<Result<T>> result;  // empty when no source is usable
+    Status last = replica_set_->TryCandidates(
+        0, 1,
+        [&](const std::shared_ptr<ReplicaSource>& source, bool* did_fetch) {
+          *did_fetch = true;
+          result = op(source->url(), params);
+          return result->status();
+        });
+    if (result && (last.ok() || !WalksOn(last))) {
+      return std::move(*result);  // success, or a terminal error
     }
     return Status::AllReplicasFailed("all replicas of " + url_.ToString() +
                                      " failed; last error: " +

@@ -78,40 +78,7 @@ Result<std::string> DavPosix::Read(int fd, size_t count) {
     f->cursor += data.size();
     return data;
   }
-  if (f->params.readahead_window_chunks > 0) {
-    return ReadWindowed(f, want);
-  }
-  return ReadBuffered(f, want);
-}
-
-Result<std::string> DavPosix::ReadBuffered(OpenFile* file, uint64_t want) {
-  // Synchronous read-ahead: serve from the buffered window, refilling it
-  // with one large read when the cursor leaves it. A read straddling the
-  // buffer end serves the buffered prefix and fetches only the missing
-  // suffix — already-buffered tail bytes are never refetched. The cursor
-  // only advances on success.
-  uint64_t pos = file->cursor;
-  uint64_t buf_end = file->buffer_offset + file->buffer.size();
-  std::string out;
-  if (pos >= file->buffer_offset && pos < buf_end) {
-    uint64_t prefix = std::min<uint64_t>(want, buf_end - pos);
-    out.assign(file->buffer, pos - file->buffer_offset, prefix);
-    pos += prefix;
-    want -= prefix;
-  }
-  if (want > 0) {
-    uint64_t fetch = std::max<uint64_t>(want, file->params.readahead_bytes);
-    fetch = std::min(fetch, file->size - pos);
-    DAVIX_ASSIGN_OR_RETURN(
-        std::string data, file->file->ReadPartial(pos, fetch, file->params));
-    file->buffer_offset = pos;
-    file->buffer = std::move(data);
-    uint64_t take = std::min<uint64_t>(want, file->buffer.size());
-    out.append(file->buffer, 0, take);
-    pos += take;
-  }
-  file->cursor = pos;
-  return out;
+  return ReadWindowed(f, want);
 }
 
 Result<std::string> DavPosix::ReadWindowed(OpenFile* file, uint64_t want) {
@@ -144,11 +111,14 @@ Result<std::string> DavPosix::ReadWindowed(OpenFile* file, uint64_t want) {
     // min_throughput_bytes_per_sec bound every chunk independently: a
     // wedged or trickling chunk times out (or stall-aborts) and fails
     // over on its own, instead of stalling the whole window behind it.
+    // Depth 0 fetches on the reading thread, so it leaves the lazy
+    // dispatcher unstarted.
     file->stream = std::make_unique<ReadAheadStream>(
         [dav, params](uint64_t offset, uint64_t length) {
           return dav->ReadPartial(offset, length, params);
         },
-        &context_->dispatcher(), config);
+        config.window_chunks > 0 ? &context_->dispatcher() : nullptr,
+        config);
   }
   Result<std::string> out = file->stream->Read(file->cursor, want);
   if (out.ok()) file->cursor += out->size();

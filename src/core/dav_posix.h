@@ -48,10 +48,10 @@ class DavPosix {
   /// Sequential read of up to `count` bytes at the descriptor's cursor.
   /// Returns fewer bytes only at EOF (empty string = EOF). When
   /// RequestParams::readahead_bytes is set, reads are served from a
-  /// read-ahead buffer: a synchronous single-window one by default, or —
-  /// when RequestParams::readahead_window_chunks > 0 — an asynchronous
-  /// sliding window that keeps that many chunk fetches in flight on the
-  /// Context's dispatcher pool.
+  /// ReadAheadStream of that chunk size, RequestParams::
+  /// readahead_window_chunks deep: chunk fetches kept in flight on the
+  /// Context's dispatcher pool, or at depth 0 one buffered chunk fetched
+  /// on the reading thread (a Read costs at most one request).
   Result<std::string> Read(int fd, size_t count);
 
   /// Positional read, no cursor interaction.
@@ -96,21 +96,14 @@ class DavPosix {
     uint64_t size = 0;
     Mutex mu;
     uint64_t cursor GUARDED_BY(mu) = 0;
-    // Synchronous read-ahead buffer (params.readahead_bytes > 0,
-    // params.readahead_window_chunks == 0).
-    uint64_t buffer_offset GUARDED_BY(mu) = 0;
-    std::string buffer GUARDED_BY(mu);
-    // Asynchronous sliding window (params.readahead_window_chunks > 0),
-    // created lazily on the first buffered Read.
+    // Read-ahead window (params.readahead_bytes > 0), created lazily on
+    // the first buffered Read.
     std::unique_ptr<ReadAheadStream> stream GUARDED_BY(mu);
   };
 
   Result<std::shared_ptr<OpenFile>> Lookup(int fd) const;
 
-  /// Serves Read from the synchronous single-buffer window.
-  Result<std::string> ReadBuffered(OpenFile* file, uint64_t want)
-      REQUIRES(file->mu);
-  /// Serves Read from the asynchronous sliding window.
+  /// Serves Read from the read-ahead window.
   Result<std::string> ReadWindowed(OpenFile* file, uint64_t want)
       REQUIRES(file->mu);
 

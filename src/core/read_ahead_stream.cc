@@ -10,7 +10,6 @@ ReadAheadStream::ReadAheadStream(ReadAheadFetchFn fetch, ThreadPool* pool,
                                  ReadAheadStreamConfig config)
     : fetch_(std::move(fetch)), pool_(pool), config_(config) {
   if (config_.chunk_bytes == 0) config_.chunk_bytes = 256 * 1024;
-  if (config_.window_chunks == 0) config_.window_chunks = 1;
 }
 
 ReadAheadStream::~ReadAheadStream() { Invalidate(); }
@@ -22,13 +21,17 @@ void ReadAheadStream::Invalidate() {
   window_.clear();
 }
 
-void ReadAheadStream::TopUp() {
-  while (window_.size() < config_.window_chunks &&
-         window_end_ < config_.file_size) {
+void ReadAheadStream::TopUp(uint64_t need) {
+  // Depth 0 holds only the chunk under the cursor, added when a Read
+  // needs bytes and sized to cover all of them: one Read, one fetch.
+  const bool sync = config_.window_chunks == 0;
+  size_t depth = sync ? (need > 0 ? 1 : 0) : config_.window_chunks;
+  while (window_.size() < depth && window_end_ < config_.file_size) {
     Chunk chunk;
     chunk.offset = window_end_;
-    chunk.length =
-        std::min<uint64_t>(config_.chunk_bytes, config_.file_size - window_end_);
+    chunk.length = std::min<uint64_t>(
+        sync ? std::max(config_.chunk_bytes, need) : config_.chunk_bytes,
+        config_.file_size - window_end_);
     chunk.state = std::make_shared<ChunkState>();
     window_end_ += chunk.length;
 
@@ -119,7 +122,7 @@ Result<std::string> ReadAheadStream::Read(uint64_t position, size_t count) {
   std::string out;
   out.reserve(want);
   while (want > 0) {
-    TopUp();
+    TopUp(want);
     Chunk& front = window_.front();
     Result<std::string> data = WaitForChunk(front);
     if (!data.ok()) {
@@ -136,7 +139,7 @@ Result<std::string> ReadAheadStream::Read(uint64_t position, size_t count) {
     if (position >= front.offset + front.length) {
       // Chunk fully consumed; pop and immediately keep the pipe full.
       window_.pop_front();
-      TopUp();
+      TopUp(want);
     } else {
       // Partially consumed front: restore its payload for the next Read.
       // The fetch task finished (done is true), so the lock is

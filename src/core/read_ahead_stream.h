@@ -34,13 +34,16 @@ using ReadAheadFetchFn =
 using ReadAheadProbeFn =
     std::function<bool(uint64_t offset, uint64_t length, std::string* out)>;
 
-/// Shape of the asynchronous sliding window.
+/// Shape of the sliding window.
 struct ReadAheadStreamConfig {
-  /// Bytes fetched per asynchronous range-GET.
+  /// Bytes fetched per range-GET.
   uint64_t chunk_bytes = 256 * 1024;
-  /// Chunks kept in flight ahead of the consumer (minimum 1). This is
-  /// also the bound of the delivery queue: at most this many fetched-
-  /// but-unconsumed chunks are buffered.
+  /// Chunks kept in flight ahead of the consumer. This is also the bound
+  /// of the delivery queue: at most this many fetched-but-unconsumed
+  /// chunks are buffered. 0 = no read-ahead: the chunk under the cursor
+  /// is fetched only when a Read reaches it, sized to cover at least the
+  /// bytes that Read still needs; with a null pool the fetch runs on the
+  /// reading thread.
   size_t window_chunks = 4;
   /// Total object size; reads and the window are clamped to it.
   uint64_t file_size = 0;
@@ -51,16 +54,19 @@ struct ReadAheadStreamConfig {
   ReadAheadProbeFn probe;
 };
 
-/// Asynchronous sliding-window read-ahead for sequential reads — the
-/// davix-side counterpart of the "sliding windows buffering algorithm"
-/// §3 of the paper credits for XRootD's WAN advantage.
+/// Sliding-window read-ahead for sequential reads — the davix-side
+/// counterpart of the "sliding windows buffering algorithm" §3 of the
+/// paper credits for XRootD's WAN advantage, and the one chunk
+/// scheduler of the core: DavPosix's read-ahead (either depth) and
+/// ReplicaSet::Stream's striping differ only in the fetch function.
 ///
 /// Up to `window_chunks` range-GETs are kept in flight ahead of the
 /// consumer's position, each scheduled on the shared per-Context
 /// dispatcher pool and drawing its own pooled session. Completed chunks
 /// are delivered strictly in offset order through the bounded window
 /// deque, so on a high-RTT path the next chunk's latency is hidden
-/// behind consumption of the current one.
+/// behind consumption of the current one. Depth 0 is the synchronous
+/// buffer: one chunk, fetched only for the Read that needs it.
 ///
 /// Error handling: the first failed chunk surfaces on the Read that
 /// reaches it (delivery is in order, so that is the earliest-offset
@@ -79,8 +85,9 @@ struct ReadAheadStreamConfig {
 /// dispatcher threads.
 class ReadAheadStream {
  public:
-  /// `pool` must outlive the stream. `fetch` is copied into scheduled
-  /// tasks and may outlive the stream itself (see ReadAheadFetchFn).
+  /// `pool` must outlive the stream; null runs every fetch on the
+  /// reading thread. `fetch` is copied into scheduled tasks and may
+  /// outlive the stream itself (see ReadAheadFetchFn).
   ReadAheadStream(ReadAheadFetchFn fetch, ThreadPool* pool,
                   ReadAheadStreamConfig config);
 
@@ -143,7 +150,9 @@ class ReadAheadStream {
   };
 
   /// Schedules fetches until the window is full or EOF is covered.
-  void TopUp();
+  /// `need` is the byte count the current Read still wants; only depth 0
+  /// uses it, to size (or skip) its one chunk.
+  void TopUp(uint64_t need);
 
   /// Blocks until `chunk`'s fetch completes and moves out its payload.
   /// The wait itself is untimed but bounded transitively: each fetch

@@ -1,15 +1,13 @@
 #include "core/replica_set.h"
 
 #include <algorithm>
-#include <atomic>
-#include <map>
 #include <set>
 #include <utility>
 
 #include "common/clock.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "core/metalink_engine.h"
+#include "core/read_ahead_stream.h"
 #include "core/resilience.h"
 #include "http/parser.h"
 #include "http/range.h"
@@ -53,6 +51,10 @@ bool ShouldFailover(const Status& status) {
     default:
       return false;
   }
+}
+
+bool WalksOn(const Status& status) {
+  return ShouldFailover(status) || status.code() == StatusCode::kCorruption;
 }
 
 // ---------------------------------------------------------------------------
@@ -254,7 +256,8 @@ std::vector<std::shared_ptr<ReplicaSource>> ReplicaSet::RankedSources()
 }
 
 std::vector<std::shared_ptr<ReplicaSource>> ReplicaSet::CandidatesFor(
-    size_t index, size_t stripe_width) const {
+    size_t index, size_t stripe_width,
+    const std::vector<std::shared_ptr<ReplicaSource>>& lanes) const {
   std::vector<std::shared_ptr<ReplicaSource>> candidates = RankedSources();
   int64_t now = MonotonicMicros();
   const CircuitBreakerRegistry& breakers = context_->pool().breakers();
@@ -264,6 +267,20 @@ std::vector<std::shared_ptr<ReplicaSource>> ReplicaSet::CandidatesFor(
          !breakers.OpenForHost(candidates[healthy]->url().HostPortKey(),
                                now)) {
     ++healthy;
+  }
+  if (!lanes.empty()) {
+    // Near-tied latency EWMAs swap ranks from one chunk to the next; in
+    // live order a swap sends a slot's next chunk to a source still busy
+    // with another slot's (a second, cold connection) while its own
+    // source idles. Lane order keeps the slot on its source.
+    auto lane = [&lanes](const std::shared_ptr<ReplicaSource>& source) {
+      return std::find(lanes.begin(), lanes.end(), source) - lanes.begin();
+    };
+    std::stable_sort(candidates.begin(), candidates.begin() + healthy,
+                     [&lane](const std::shared_ptr<ReplicaSource>& a,
+                             const std::shared_ptr<ReplicaSource>& b) {
+                       return lane(a) < lane(b);
+                     });
   }
   // Stripe rotation: concurrent slots start on different healthy
   // sources, so parallel chunk fetches aggregate per-connection TCP
@@ -292,12 +309,13 @@ void ReplicaSet::RecordFailure(const std::shared_ptr<ReplicaSource>& source) {
   }
 }
 
-Status ReplicaSet::TryCandidates(size_t index, size_t stripe_width,
-                                 const CandidateAttemptFn& attempt) {
+Status ReplicaSet::TryCandidates(
+    size_t index, size_t stripe_width, const CandidateAttemptFn& attempt,
+    const std::vector<std::shared_ptr<ReplicaSource>>& lanes) {
   Status last = Status::AllReplicasFailed("replica set has no usable source");
   bool first = true;
   for (const std::shared_ptr<ReplicaSource>& source :
-       CandidatesFor(index, stripe_width)) {
+       CandidatesFor(index, stripe_width, lanes)) {
     if (!first) {
       context_->stats().replica_failovers.fetch_add(1,
                                                     std::memory_order_relaxed);
@@ -314,10 +332,7 @@ Status ReplicaSet::TryCandidates(size_t index, size_t stripe_width,
     }
     if (!did_fetch) return status;  // local failure: nobody to blame
     RecordFailure(source);
-    if (!ShouldFailover(status) &&
-        status.code() != StatusCode::kCorruption) {
-      return status;
-    }
+    if (!WalksOn(status)) return status;
     last = std::move(status);
   }
   return last;
@@ -462,11 +477,11 @@ Result<uint64_t> ReplicaSet::ResolveSize(const RequestParams& params) {
   return size_;
 }
 
-Status ReplicaSet::FetchChunk(size_t chunk_index, size_t stripe_width,
-                              uint64_t chunk_offset, uint64_t chunk_length,
-                              const RequestParams& params,
-                              const std::string& cache_key, BlockCache* cache,
-                              std::string* data) {
+Status ReplicaSet::FetchChunk(
+    size_t chunk_index,
+    const std::vector<std::shared_ptr<ReplicaSource>>& lanes,
+    uint64_t chunk_offset, uint64_t chunk_length, const RequestParams& params,
+    const std::string& cache_key, BlockCache* cache, std::string* data) {
   if (cache != nullptr) {
     // A probe hit is delivered only when (a) no purge interleaved the
     // multi-block copy-out — the epoch is stable, so every byte read
@@ -499,7 +514,7 @@ Status ReplicaSet::FetchChunk(size_t chunk_index, size_t stripe_width,
   uint64_t total = size();
 
   Status status = TryCandidates(
-      chunk_index, stripe_width,
+      chunk_index, config_.max_streams,
       [&](const std::shared_ptr<ReplicaSource>& source,
           bool* did_fetch) -> Status {
         context_->stats().multisource_chunks.fetch_add(
@@ -562,7 +577,8 @@ Status ReplicaSet::FetchChunk(size_t chunk_index, size_t stripe_width,
         }
         data->assign(span);
         return Status::OK();
-      });
+      },
+      lanes);
   if (!status.ok()) {
     return status.WithContext("multi-source chunk at offset " +
                               std::to_string(chunk_offset));
@@ -595,64 +611,35 @@ Status ReplicaSet::Stream(uint64_t offset, uint64_t length,
     if (!agreed.empty()) cache->NoteValidator(cache_key, agreed);
   }
 
+  // The striped scheduler is the read-ahead window, max_streams chunks
+  // deep: chunk k goes to stripe slot k, the sink runs here on the
+  // calling thread, and at most max_streams fetched-but-unconsumed
+  // chunks are buffered. The ranking at the start fixes the lanes the
+  // slots map to. The closure owns the set, because fetches still in
+  // flight when a failed stream returns finish afterwards.
   uint64_t chunk_bytes = config_.chunk_bytes;
-  size_t chunks =
-      static_cast<size_t>((length + chunk_bytes - 1) / chunk_bytes);
-  size_t parallelism = std::max<size_t>(
-      1, std::min<size_t>(config_.max_streams, chunks));
-  ThreadPool* dispatcher =
-      chunks > 1 && parallelism > 1 ? &context_->dispatcher() : nullptr;
-
-  // In-order delivery: completed chunks park in `pending` until the
-  // delivery cursor reaches them; the sink runs serially under the
-  // lock. At most ~stripe_width chunks wait at once (the claim loop
-  // hands out indices in order, so the next-needed chunk is always
-  // in flight).
-  struct DeliveryState {
-    explicit DeliveryState(uint64_t start) : next_offset(start) {}
-    Mutex mu;
-    std::map<uint64_t, std::string> pending GUARDED_BY(mu);
-    uint64_t next_offset GUARDED_BY(mu);
-    Status first_error GUARDED_BY(mu) = Status::OK();
-    std::atomic<bool> failed{false};
-  };
-  DeliveryState state(offset);
-
-  ParallelForCancellable(
-      dispatcher, chunks, parallelism, [&](size_t chunk_index) {
-        if (state.failed.load(std::memory_order_acquire)) return false;
-        uint64_t chunk_offset = offset + chunk_index * chunk_bytes;
-        uint64_t chunk_length =
-            std::min<uint64_t>(chunk_bytes, offset + length - chunk_offset);
+  ReadAheadStreamConfig window;
+  window.chunk_bytes = chunk_bytes;
+  window.window_chunks = config_.max_streams;
+  window.file_size = offset + length;
+  ReadAheadStream stream(
+      [self = shared_from_this(), lanes = RankedSources(), offset,
+       chunk_bytes, params, cache_key,
+       cache](uint64_t chunk_offset,
+              uint64_t chunk_length) -> Result<std::string> {
         std::string data;
-        Status status =
-            FetchChunk(chunk_index, config_.max_streams, chunk_offset,
-                       chunk_length, params, cache_key, cache, &data);
-        MutexLock lock(state.mu);
-        if (!state.first_error.ok()) return false;
-        if (!status.ok()) {
-          state.first_error = std::move(status);
-          state.failed.store(true, std::memory_order_release);
-          return false;
-        }
-        state.pending.emplace(chunk_offset, std::move(data));
-        auto it = state.pending.find(state.next_offset);
-        while (it != state.pending.end()) {
-          Status delivered = sink(it->first, it->second);
-          if (!delivered.ok()) {
-            state.first_error = std::move(delivered);
-            state.failed.store(true, std::memory_order_release);
-            return false;
-          }
-          state.next_offset += it->second.size();
-          state.pending.erase(it);
-          it = state.pending.find(state.next_offset);
-        }
-        return true;
-      });
-
-  MutexLock lock(state.mu);
-  return state.first_error;
+        DAVIX_RETURN_IF_ERROR(self->FetchChunk(
+            (chunk_offset - offset) / chunk_bytes, lanes, chunk_offset,
+            chunk_length, params, cache_key, cache, &data));
+        return data;
+      },
+      &context_->dispatcher(), window);
+  for (uint64_t pos = offset; pos < offset + length;) {
+    DAVIX_ASSIGN_OR_RETURN(std::string data, stream.Read(pos, chunk_bytes));
+    DAVIX_RETURN_IF_ERROR(sink(pos, data));
+    pos += data.size();
+  }
+  return Status::OK();
 }
 
 }  // namespace core

@@ -29,6 +29,12 @@ BlockValidator ValidatorFrom(const http::HeaderMap& headers);
 /// federated namespace the resource may simply live elsewhere).
 bool ShouldFailover(const Status& status);
 
+/// True when a candidate walk (ReplicaSet::TryCandidates) moves on from
+/// a source that failed with `status` to the next one: a failover error
+/// (ShouldFailover) or a generation mismatch (kCorruption: the next
+/// source may agree). Any other error ends the walk.
+bool WalksOn(const Status& status);
+
 /// One replica location plus its health state (§2.4 replica management):
 /// a latency EWMA, a consecutive-failure count, and a quarantine
 /// deadline. The scheduler prefers low-latency healthy sources and stops
@@ -159,9 +165,9 @@ using CandidateAttemptFn = std::function<Status(
 /// stamps but equal ETags still pool.
 ///
 /// Ownership: holds a Context* (must outlive the set) and its own
-/// HttpClient; shared by DavFile and in-flight read-ahead fetches via
-/// shared_ptr. Thread-safe: yes.
-class ReplicaSet {
+/// HttpClient; shared by DavFile and in-flight read-ahead and stripe
+/// fetches via shared_ptr. Thread-safe: yes.
+class ReplicaSet : public std::enable_shared_from_this<ReplicaSet> {
  public:
   /// Builds the set from an already-fetched Metalink. `primary` is
   /// prepended (priority 0) when the Metalink does not list it, so the
@@ -194,8 +200,20 @@ class ReplicaSet {
 
   /// Streams [offset, offset+length) through `sink` in offset order by
   /// striping chunk range-GETs across the healthy sources on the
-  /// Context's dispatcher (see class comment). Out-of-order completed
-  /// chunks are buffered; at most ~stripe_width chunks wait at once.
+  /// Context's dispatcher (see class comment). The stripes run in a
+  /// ReadAheadStream max_streams chunks deep, and the sink runs on the
+  /// calling thread: while it consumes one chunk, at most max_streams
+  /// further chunks are in flight or buffered. The ranking taken when
+  /// the stream starts fixes the stripe lanes: each slot stays on its
+  /// source while that source stays healthy (see CandidatesFor).
+  ///
+  /// A failed stream (a chunk no candidate could serve, or a sink error)
+  /// returns at once; up to max_streams chunk fetches already running
+  /// finish afterwards. Until they do they may still bump the
+  /// multi-source counters (multisource_chunks, replica_failovers,
+  /// stall_aborts, replica_validator_rejects, replica_quarantines), feed
+  /// source health, seed the agreed validator and insert into the block
+  /// cache. They keep the set alive; Context teardown waits for them.
   Status Stream(uint64_t offset, uint64_t length,
                 const RequestParams& params, const ReplicaSpanSink& sink);
 
@@ -206,9 +224,13 @@ class ReplicaSet {
   std::vector<std::shared_ptr<ReplicaSource>> RankedSources() const;
 
   /// Candidate try-order for stripe slot `index`: RankedSources()
-  /// with its healthy prefix rotated by `index % stripe_width`.
+  /// with its healthy prefix rotated by `index % stripe_width`. Given
+  /// `lanes` (an earlier RankedSources()), the healthy prefix keeps the
+  /// lanes' order instead of the live latency order, so a slot stays on
+  /// its source while that source stays healthy.
   std::vector<std::shared_ptr<ReplicaSource>> CandidatesFor(
-      size_t index, size_t stripe_width) const;
+      size_t index, size_t stripe_width,
+      const std::vector<std::shared_ptr<ReplicaSource>>& lanes = {}) const;
 
   /// The shared §2.4 failover policy: walks the candidates for stripe
   /// slot `index`, invoking `attempt` on each until one succeeds.
@@ -216,12 +238,13 @@ class ReplicaSet {
   /// successes feed the latency EWMA, failures that reached the wire
   /// feed the failure streak (a failure before any wire traffic
   /// returns immediately: nobody to blame, retrying is pointless) —
-  /// and continues past retryable errors and generation mismatches
-  /// (kCorruption: the next source may agree) but stops on terminal
-  /// ones. Returns the last error when every candidate failed. Used by
-  /// the chunk scheduler and DavFile's vectored batch dispatch.
-  Status TryCandidates(size_t index, size_t stripe_width,
-                       const CandidateAttemptFn& attempt);
+  /// and continues while WalksOn() holds, stopping on terminal errors.
+  /// Returns the last error when every candidate failed. `lanes` is
+  /// CandidatesFor's. Used by the chunk scheduler and DavFile's failover
+  /// and vectored batch dispatch.
+  Status TryCandidates(
+      size_t index, size_t stripe_width, const CandidateAttemptFn& attempt,
+      const std::vector<std::shared_ptr<ReplicaSource>>& lanes = {});
 
   /// Health feedback from external fetchers (DavFile's vectored batch
   /// dispatch routes its per-batch outcomes here).
@@ -262,10 +285,12 @@ class ReplicaSet {
   /// Looks up a source by canonical URL; null when unknown.
   std::shared_ptr<ReplicaSource> FindSource(const Uri& url) const;
 
-  /// Fetches one chunk: cache probe, then the candidate walk with
-  /// health feedback and generation admission. On success `*data`
-  /// holds exactly `length` bytes.
-  Status FetchChunk(size_t chunk_index, size_t stripe_width,
+  /// Fetches one chunk: cache probe, then the candidate walk for stripe
+  /// slot `chunk_index` over `lanes`, with health feedback and
+  /// generation admission. On success `*data` holds exactly `length`
+  /// bytes.
+  Status FetchChunk(size_t chunk_index,
+                    const std::vector<std::shared_ptr<ReplicaSource>>& lanes,
                     uint64_t chunk_offset, uint64_t chunk_length,
                     const RequestParams& params, const std::string& cache_key,
                     BlockCache* cache, std::string* data);

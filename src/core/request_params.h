@@ -205,16 +205,17 @@ struct RequestParams {
   /// Sequential read-ahead for DavPosix::Read (0 = none). Kept off by
   /// default: the paper's davix relies on vectored reads instead of the
   /// sliding-window buffering XRootD uses; turning this on is the E7
-  /// ablation. With `readahead_window_chunks` == 0 this is one
-  /// synchronous buffer of `readahead_bytes`; otherwise it is the chunk
-  /// size of the asynchronous sliding window.
+  /// ablation. This is the chunk size of the descriptor's
+  /// core::ReadAheadStream, whose depth is `readahead_window_chunks`.
   uint64_t readahead_bytes = 0;
-  /// Asynchronous sliding-window depth for DavPosix::Read: up to this
-  /// many `readahead_bytes`-sized range-GETs are kept in flight ahead of
-  /// the consumer, each on its own pooled session, dispatched on the
+  /// Read-ahead window depth for DavPosix::Read: up to this many
+  /// `readahead_bytes`-sized range-GETs are kept in flight ahead of the
+  /// consumer, each on its own pooled session, dispatched on the
   /// per-Context pool — the XRootD-style window that hides per-chunk
-  /// round trips on high-RTT paths. 0 (default) keeps the synchronous
-  /// single-buffer behaviour. Ignored while `readahead_bytes` == 0.
+  /// round trips on high-RTT paths. 0 (default) is depth 0 of the same
+  /// window: one synchronous buffer of at least `readahead_bytes`,
+  /// fetched on the reading thread, so a Read costs at most one request.
+  /// Ignored while `readahead_bytes` == 0.
   size_t readahead_window_chunks = 0;
   std::string user_agent = "libdavix-repro/1.0";
 

@@ -143,6 +143,16 @@ TEST_F(DavPosixTest, ReadAheadStraddleServesBufferedPrefix) {
   EXPECT_LT(io.bytes_read, 16'000u);
 }
 
+TEST_F(DavPosixTest, ReadAheadReadLargerThanBufferCostsOneRequest) {
+  params_.readahead_bytes = 8 * 1024;
+  ASSERT_OK_AND_ASSIGN(int fd,
+                       posix_->Open(server_.UrlFor("/f.bin"), params_));
+  context_->ResetCounters();
+  ASSERT_OK_AND_ASSIGN(std::string data, posix_->Read(fd, 40'000));
+  EXPECT_EQ(data, content_.substr(0, 40'000));
+  EXPECT_EQ(context_->SnapshotCounters().requests, 1u);
+}
+
 TEST_F(DavPosixTest, AsyncReadAheadSequentialDelivery) {
   params_.readahead_bytes = 8192;
   params_.readahead_window_chunks = 4;

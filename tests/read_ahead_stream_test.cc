@@ -31,6 +31,7 @@ struct FakeObject {
       while (now > seen && !max_concurrent.compare_exchange_weak(seen, now)) {
       }
       fetches.fetch_add(1);
+      if (std::this_thread::get_id() != creator) foreign_fetches.fetch_add(1);
       if (jitter_micros > 0) {
         // Floor of jitter_micros plus an offset-derived spread, so every
         // fetch takes real time and completion order gets shuffled.
@@ -48,7 +49,11 @@ struct FakeObject {
   }
 
   std::string content;
+  /// The thread that built the object — the reading thread in the
+  /// synchronous tests; fetches anywhere else count as foreign.
+  std::thread::id creator = std::this_thread::get_id();
   std::atomic<int> fetches{0};
+  std::atomic<int> foreign_fetches{0};
   std::atomic<int> concurrent{0};
   std::atomic<int> max_concurrent{0};
   std::atomic<int64_t> fail_at_offset{-1};
@@ -261,17 +266,26 @@ TEST(ReadAheadStreamTest, CoversReportsWindowSpan) {
 }
 
 TEST(ReadAheadStreamTest, NullPoolDegradesToSynchronousFetches) {
-  FakeObject object(20'000);
-  object.jitter_micros = 0;
-  ReadAheadStream stream(object.Fetcher(), nullptr,
-                         Config(4096, 4, object.content.size()));
-  std::string assembled;
-  while (true) {
-    ASSERT_OK_AND_ASSIGN(std::string data, stream.Read(assembled.size(), 1500));
-    if (data.empty()) break;
-    assembled += data;
+  // A null pool runs every fetch on the reading thread, for a window 4
+  // deep and for depth 0 (no read-ahead) alike.
+  for (size_t window : {4u, 0u}) {
+    SCOPED_TRACE(window);
+    FakeObject object(20'000);
+    object.jitter_micros = 0;
+    ReadAheadStream stream(object.Fetcher(), nullptr,
+                           Config(4096, window, object.content.size()));
+    std::string assembled;
+    while (true) {
+      ASSERT_OK_AND_ASSIGN(std::string data,
+                           stream.Read(assembled.size(), 1500));
+      if (data.empty()) break;
+      assembled += data;
+    }
+    EXPECT_EQ(assembled, object.content);
+    // Each of the 5 chunks fetched once, all on the reading thread.
+    EXPECT_EQ(object.fetches.load(), 5);
+    EXPECT_EQ(object.foreign_fetches.load(), 0);
   }
-  EXPECT_EQ(assembled, object.content);
 }
 
 }  // namespace

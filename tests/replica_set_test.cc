@@ -100,6 +100,17 @@ TEST(ReplicaSetRankingTest, RanksByHealthThenPriorityAndRotatesStripes) {
   auto after = set->RankedSources();
   EXPECT_EQ(after.back()->url().ToString(), "http://c:80/f");
   EXPECT_TRUE(after.back()->Quarantined(MonotonicMicros()));
+
+  // Lanes (an earlier ranking) keep each stripe slot on its source while
+  // the live latency order changes; a quarantine still re-maps the slot.
+  auto lanes = set->RankedSources();  // a, b healthy; c quarantined
+  set->RecordSuccess(lanes[1], 5);
+  EXPECT_EQ(set->CandidatesFor(0, 2)[0], lanes[1]);
+  EXPECT_EQ(set->CandidatesFor(0, 2, lanes)[0], lanes[0]);
+  EXPECT_EQ(set->CandidatesFor(1, 2, lanes)[0], lanes[1]);
+  set->RecordFailure(lanes[0]);
+  set->RecordFailure(lanes[0]);
+  EXPECT_EQ(set->CandidatesFor(0, 2, lanes)[0], lanes[1]);
 }
 
 TEST(ReplicaSetRankingTest, AgreedGenerationAdmission) {
@@ -205,6 +216,90 @@ TEST_F(ReplicaSetTest, StreamStripesAcrossReplicasAndDeliversInOrder) {
   }
 }
 
+TEST_F(ReplicaSetTest, StreamBuffersNoMoreThanStripeWidthBehindSlowChunk) {
+  Deploy(3);
+  // Every replica answers chunk 0 400 ms late and the rest at once.
+  auto answered = std::make_shared<std::atomic<int>>(0);
+  for (TestStorageServer& replica : replicas_) {
+    std::shared_ptr<httpd::DavHandler> handler = replica.handler;
+    replica.router->Handle(
+        http::Method::kGet, kPath,
+        [handler, answered](const http::HttpRequest& request,
+                            http::HttpResponse* response) {
+          if (request.headers.Get("Range").value_or("").rfind("bytes=0-",
+                                                              0) == 0) {
+            SleepForMicros(400'000);
+          }
+          handler->Handle(request, response);
+          answered->fetch_add(1);
+        });
+  }
+  params_.multistream_chunk_bytes = 32 * 1024;
+  params_.multistream_max_streams = 3;
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<ReplicaSet> set, ResolveSet());
+
+  int answered_at_first_sink = -1;
+  std::string assembled;
+  ASSERT_OK(set->Stream(0, content_.size(), params_,
+                        [&](uint64_t, std::string_view data) {
+                          if (answered_at_first_sink < 0) {
+                            answered_at_first_sink = answered->load();
+                          }
+                          assembled.append(data);
+                          return Status::OK();
+                        }));
+  EXPECT_EQ(assembled, content_);
+  // The 16 chunks are striped through a window 3 chunks deep: while
+  // chunk 0 is late, nothing past the window is fetched and parked.
+  // Taking chunk 0 out of the window refills it with chunk 3 before the
+  // sink runs, so chunk 3 may already have been answered: the bound is
+  // the chunk in the sink plus the window.
+  EXPECT_LE(answered_at_first_sink, 3 + 1);
+}
+
+TEST_F(ReplicaSetTest, FailedStreamReturnsWhileItsFetchesFinishAlone) {
+  Deploy(3);
+  // Every chunk but the first is held on the server until released, so
+  // fetches are still on the wire when the sink fails chunk 0.
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  for (TestStorageServer& replica : replicas_) {
+    std::shared_ptr<httpd::DavHandler> handler = replica.handler;
+    replica.router->Handle(
+        http::Method::kGet, kPath,
+        [handler, release](const http::HttpRequest& request,
+                           http::HttpResponse* response) {
+          if (request.headers.Get("Range").value_or("").rfind("bytes=0-",
+                                                              0) != 0) {
+            while (!release->load()) SleepForMicros(1'000);
+          }
+          handler->Handle(request, response);
+        });
+  }
+  params_.multistream_chunk_bytes = 32 * 1024;
+  params_.multistream_max_streams = 3;
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<ReplicaSet> set, ResolveSet());
+
+  int sink_calls = 0;
+  Status status = set->Stream(0, content_.size(), params_,
+                              [&](uint64_t, std::string_view) {
+                                ++sink_calls;
+                                return Status::Cancelled("sink refused");
+                              });
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(sink_calls, 1);
+
+  // The running fetches keep the set alive after the caller drops it.
+  std::weak_ptr<ReplicaSet> weak = set;
+  set.reset();
+  EXPECT_FALSE(weak.expired());
+  // Set and servers go at once; the fetches finish (or fail over and
+  // fail) on their own, and the Context's teardown waits for them.
+  release->store(true);
+  replicas_.clear();
+  context_.reset();
+  EXPECT_TRUE(weak.expired());
+}
+
 TEST_F(ReplicaSetTest, WarmStreamRerunsFromCacheWithZeroRangeGets) {
   BlockCacheConfig cache_config;
   cache_config.capacity_bytes = 8 << 20;
@@ -273,6 +368,35 @@ TEST_F(ReplicaSetTest, MismatchedReplicaIsQuarantinedAndNeverCached) {
     }
   }
   EXPECT_TRUE(rejected);
+}
+
+TEST_F(ReplicaSetTest, ResolvedStatWithNoWorkingReplicaIsAllReplicasFailed) {
+  Deploy(2);
+  // First no candidate is left (every source generation-rejected, so the
+  // op never runs), then every candidate fails on the wire.
+  for (bool replicas_down : {false, true}) {
+    SCOPED_TRACE(replicas_down);
+    ASSERT_OK_AND_ASSIGN(DavFile file,
+                         DavFile::Make(context_.get(), PrimaryUrl()));
+    ASSERT_OK(file.ResolveReplicaSet(params_));
+    std::shared_ptr<ReplicaSet> set = file.replica_set();
+    ASSERT_NE(set, nullptr);
+    if (replicas_down) {
+      for (TestStorageServer& replica : replicas_) {
+        replica.server->faults().SetServerDown(true);
+      }
+    } else {
+      set->SeedValidator({"\"agreed\"", 100});
+      for (const std::shared_ptr<ReplicaSource>& source :
+           set->RankedSources()) {
+        EXPECT_FALSE(set->Admit(source, {"\"other\"", 200}).has_value());
+      }
+      ASSERT_TRUE(set->RankedSources().empty());
+    }
+    Result<FileInfo> info = file.Stat(params_);
+    ASSERT_FALSE(info.ok());
+    EXPECT_EQ(info.status().code(), StatusCode::kAllReplicasFailed);
+  }
 }
 
 TEST_F(ReplicaSetTest, DavPosixWindowedReadFailsOverMidStream) {
