@@ -18,8 +18,10 @@
 //
 // Reported: total wall time and the mean completion time of the N-1
 // *fast* requests — HOL blocking shows up as fast requests waiting for
-// the slow one.
+// the slow one. A full run repeats every cell 5 times (--smoke: once)
+// and reports its median with min and max.
 
+#include <functional>
 #include <future>
 #include <string_view>
 #include <thread>
@@ -308,9 +310,10 @@ int main(int argc, char** argv) {
   std::string big = rng.Bytes(8 * 1024 * 1024);
   store->Put("/big", big);
 
+  int reps = args.smoke ? 1 : 5;
   JsonReporter json("pipelining_hol");
-  std::printf("%-6s %-10s %12s %18s\n", "link", "strategy", "total[s]",
-              "fast-req mean[ms]");
+  std::printf("%-6s %-10s %10s %13s %18s\n", "link", "strategy",
+              "median[s]", "min-max[s]", "fast-req mean[ms]");
   std::vector<netsim::LinkProfile> links =
       args.smoke
           ? std::vector<netsim::LinkProfile>{netsim::LinkProfile::Lan()}
@@ -320,60 +323,78 @@ int main(int argc, char** argv) {
     HttpNode node = StartNode(link, store);
     struct Strategy {
       const char* name;
-      Outcome outcome;
+      std::function<Outcome()> run;
     };
-    std::vector<Strategy> strategies;
-    strategies.push_back({"serial", RunSerial(node)});
-    strategies.push_back({"pipelined", RunPipelined(node)});
-    strategies.push_back({"pool", RunPool(node)});
-    strategies.push_back({"spdy-mux", RunSpdyMux(link, node)});
-    strategies.push_back({"xrootd-mux", RunXrootd(link, store)});
+    std::vector<Strategy> strategies = {
+        {"serial", [&] { return RunSerial(node); }},
+        {"pipelined", [&] { return RunPipelined(node); }},
+        {"pool", [&] { return RunPool(node); }},
+        {"spdy-mux", [&] { return RunSpdyMux(link, node); }},
+        {"xrootd-mux", [&] { return RunXrootd(link, store); }},
+    };
     for (const Strategy& strategy : strategies) {
-      std::printf("%-6s %-10s %12.3f %18.1f\n", link.name.c_str(),
-                  strategy.name, strategy.outcome.total_seconds,
-                  strategy.outcome.fast_mean_ms);
+      SampleStats total;
+      SampleStats fast;
+      for (int rep = 0; rep < reps; ++rep) {
+        Outcome outcome = strategy.run();
+        total.Add(outcome.total_seconds);
+        fast.Add(outcome.fast_mean_ms);
+      }
+      std::printf("%-6s %-10s %10.3f %6.3f-%-6.3f %18.1f\n", link.name.c_str(),
+                  strategy.name, total.Percentile(50), total.Min(),
+                  total.Max(), fast.Percentile(50));
       json.AddRow()
           .Str("link", link.name)
           .Str("strategy", strategy.name)
-          .Num("total_seconds", strategy.outcome.total_seconds)
-          .Num("fast_req_mean_ms", strategy.outcome.fast_mean_ms);
+          .Median("total_seconds", total)
+          .Median("fast_req_mean_ms", fast);
     }
 
     // Fan-out acceptance gate: kFanoutRequests concurrent range-GETs of
-    // /big from kFanoutThreads threads, pooled vs mux, CRC-checked.
-    FanoutOutcome pooled_fanout = RunFanout(node.server->BaseUrl(), false, big);
+    // /big from kFanoutThreads threads, pooled vs mux, CRC-checked. The
+    // two legs alternate, so host drift hits both alike.
     muxhttp::MuxServerConfig fanout_config;
     fanout_config.link = link;
     auto fanout_server = muxhttp::MuxServer::Start(fanout_config, node.router);
     if (!fanout_server.ok()) std::exit(1);
-    FanoutOutcome mux_fanout =
-        RunFanout((*fanout_server)->BaseUrl(), true, big);
-    (*fanout_server)->Stop();
-    if (mux_fanout.connections > kFanoutMaxMuxConnections) {
-      std::fprintf(stderr,
-                   "fanout: mux used %llu framed connections (budget %llu)\n",
-                   static_cast<unsigned long long>(mux_fanout.connections),
-                   static_cast<unsigned long long>(kFanoutMaxMuxConnections));
-      std::exit(1);
+    SampleStats pooled_seconds;
+    SampleStats mux_seconds;
+    FanoutOutcome pooled_fanout;
+    FanoutOutcome mux_fanout;
+    for (int rep = 0; rep < reps; ++rep) {
+      pooled_fanout = RunFanout(node.server->BaseUrl(), false, big);
+      pooled_seconds.Add(pooled_fanout.total_seconds);
+      mux_fanout = RunFanout((*fanout_server)->BaseUrl(), true, big);
+      mux_seconds.Add(mux_fanout.total_seconds);
+      if (mux_fanout.connections > kFanoutMaxMuxConnections) {
+        std::fprintf(
+            stderr, "fanout: mux used %llu framed connections (budget %llu)\n",
+            static_cast<unsigned long long>(mux_fanout.connections),
+            static_cast<unsigned long long>(kFanoutMaxMuxConnections));
+        std::exit(1);
+      }
     }
-    std::printf("%-6s %-10s %12.3f %10llu conns (%d range-GETs)\n",
-                link.name.c_str(), "fanout", pooled_fanout.total_seconds,
+    (*fanout_server)->Stop();
+    std::printf("%-6s %-10s %10.3f %6.3f-%-6.3f %7llu conns (%d range-GETs)\n",
+                link.name.c_str(), "fanout", pooled_seconds.Percentile(50),
+                pooled_seconds.Min(), pooled_seconds.Max(),
                 static_cast<unsigned long long>(pooled_fanout.connections),
                 kFanoutRequests);
-    std::printf("%-6s %-10s %12.3f %10llu conns (%d range-GETs)\n",
-                link.name.c_str(), "mux-fanout", mux_fanout.total_seconds,
+    std::printf("%-6s %-10s %10.3f %6.3f-%-6.3f %7llu conns (%d range-GETs)\n",
+                link.name.c_str(), "mux-fanout", mux_seconds.Percentile(50),
+                mux_seconds.Min(), mux_seconds.Max(),
                 static_cast<unsigned long long>(mux_fanout.connections),
                 kFanoutRequests);
     json.AddRow()
         .Str("link", link.name)
         .Str("strategy", "pool-fanout")
-        .Num("total_seconds", pooled_fanout.total_seconds)
+        .Median("total_seconds", pooled_seconds)
         .Int("connections", static_cast<int64_t>(pooled_fanout.connections))
         .Int("requests", kFanoutRequests);
     json.AddRow()
         .Str("link", link.name)
         .Str("strategy", "mux-fanout")
-        .Num("total_seconds", mux_fanout.total_seconds)
+        .Median("total_seconds", mux_seconds)
         .Int("connections", static_cast<int64_t>(mux_fanout.connections))
         .Int("requests", kFanoutRequests);
 

@@ -76,11 +76,15 @@ class JsonReporter {
       return *this;
     }
     /// A repeated measurement: its median under `key`, with `key`_min,
-    /// `key`_max and the sample count `reps` beside it.
+    /// `key`_max and the sample count `reps` beside it (once per row,
+    /// however many columns are repeated).
     Row& Median(const std::string& key, const SampleStats& samples) {
       Num(key, samples.Percentile(50));
       Num(key + "_min", samples.Min());
       Num(key + "_max", samples.Max());
+      for (const auto& field : fields_) {
+        if (field.first == "reps") return *this;
+      }
       return Int("reps", samples.count());
     }
 

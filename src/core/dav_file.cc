@@ -72,6 +72,35 @@ Status ScatterFromFullBody(const std::vector<CoalescedRange>& batch,
   return Status::OK();
 }
 
+/// Copies the validators a response carries into `info`.
+void ReadValidators(const http::HeaderMap& headers, FileInfo* info) {
+  info->etag = headers.Get("ETag").value_or("");
+  if (std::optional<std::string> lm = headers.Get("Last-Modified")) {
+    Result<int64_t> mtime = http::ParseHttpDate(*lm);
+    if (mtime.ok()) info->mtime_epoch_seconds = *mtime;
+  }
+}
+
+/// The object size a 206 answer to "Range: bytes=0-..." implies. The
+/// range must start at 0, match the body, and fit inside its total.
+Result<uint64_t> SizeFromHeadRange(const http::HttpResponse& response,
+                                   const std::string& what) {
+  std::optional<std::string> value = response.headers.Get("Content-Range");
+  if (!value) {
+    return Status::ProtocolError(what + ": 206 without Content-Range");
+  }
+  Result<http::ContentRange> cr = http::ParseContentRange(*value);
+  if (!cr.ok() || cr->range.offset != 0 ||
+      cr->range.length != response.body.size() ||
+      cr->total_size < cr->range.length) {
+    return Status::ProtocolError(what + ": bad head Content-Range '" + *value +
+                                 "' for a " +
+                                 std::to_string(response.body.size()) +
+                                 "-byte body");
+  }
+  return cr->total_size;
+}
+
 }  // namespace
 
 DavFile::DavFile(Context* context, Uri url)
@@ -187,13 +216,55 @@ Result<FileInfo> DavFile::Stat(const RequestParams& params) {
         FileInfo info;
         info.size =
             exchange.response.headers.GetUint64("Content-Length").value_or(0);
-        info.etag = exchange.response.headers.Get("ETag").value_or("");
-        if (std::optional<std::string> lm =
-                exchange.response.headers.Get("Last-Modified")) {
-          Result<int64_t> mtime = http::ParseHttpDate(*lm);
-          if (mtime.ok()) info.mtime_epoch_seconds = *mtime;
-        }
+        ReadValidators(exchange.response.headers, &info);
         return info;
+      });
+}
+
+Result<OpenedFile> DavFile::Open(uint64_t head_bytes,
+                                 const RequestParams& params) {
+  if (head_bytes == 0) {
+    return Status::InvalidArgument("Open needs a non-empty head");
+  }
+  return WithFailover<OpenedFile>(
+      params,
+      [&](const Uri& replica, const RequestParams& p) -> Result<OpenedFile> {
+        http::HeaderMap headers;
+        headers.Set("Range",
+                    http::FormatRangeHeader({http::ByteRange{0, head_bytes}}));
+        DAVIX_ASSIGN_OR_RETURN(
+            HttpClient::Exchange exchange,
+            client_.Execute(replica, http::Method::kGet, p, std::string(),
+                            &headers));
+        http::HttpResponse& response = exchange.response;
+        const std::string what = "GET " + replica.ToString();
+        OpenedFile opened;
+        switch (response.status_code) {
+          case 206: {
+            DAVIX_ASSIGN_OR_RETURN(opened.info.size,
+                                   SizeFromHeadRange(response, what));
+            break;
+          }
+          case 200:
+            opened.info.size = response.body.size();
+            break;
+          case 416: {
+            // The only unsatisfiable "bytes=0-..." is an empty object.
+            std::optional<std::string> cr =
+                response.headers.Get("Content-Range");
+            if (!cr || TrimWhitespace(*cr) != "bytes */0") {
+              return Status::ProtocolError(what + ": 416 for a head read");
+            }
+            response.body.clear();
+            break;
+          }
+          default:
+            return HttpStatusToStatus(response.status_code, what);
+        }
+        ReadValidators(response.headers, &opened.info);
+        if (response.body.size() > head_bytes) response.body.resize(head_bytes);
+        opened.head = std::move(response.body);
+        return opened;
       });
 }
 

@@ -30,6 +30,13 @@ struct FileInfo {
   bool is_collection = false;
 };
 
+/// What DavFile::Open learns from its one request.
+struct OpenedFile {
+  FileInfo info;
+  /// The object's first min(head_bytes, info.size) bytes.
+  std::string head;
+};
+
 /// Object-level remote file API, mirroring davix's DavFile.
 ///
 /// Every read entry point is resilience-wrapped per
@@ -60,6 +67,16 @@ class DavFile {
 
   /// Metadata via HEAD.
   Result<FileInfo> Stat(const RequestParams& params = {});
+
+  /// Opens the object with one ranged GET of its first `head_bytes`
+  /// (> 0) bytes instead of a HEAD: size and validators come from the
+  /// response, and its bytes come back with them. A 206 gives the size
+  /// from `Content-Range: bytes 0-b/total`; a 200 (the server ignored
+  /// Range) gives the body length; a 416 with `bytes */0` is an empty
+  /// object. Any other Content-Range or 416 is kProtocolError. Errors
+  /// map, and fail over across replicas, as Stat's do.
+  Result<OpenedFile> Open(uint64_t head_bytes,
+                          const RequestParams& params = {});
 
   /// Remote md5 of the object (RFC 3230 Want-Digest, davix-checksum
   /// style). Returns the lower-case hex digest.

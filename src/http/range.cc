@@ -106,6 +106,12 @@ Result<ContentRange> ParseContentRange(std::string_view value) {
       return Status::InvalidArgument("bad content-range total: " +
                                      std::string(value));
     }
+    // RFC 9110 §14.4: a last-byte-pos at or past the complete length
+    // is invalid, not a hint that the object grew.
+    if (*end >= *total) {
+      return Status::InvalidArgument("content-range ends past its total: " +
+                                     std::string(value));
+    }
     out.total_size = *total;
   }
   return out;

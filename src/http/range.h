@@ -47,7 +47,8 @@ struct ContentRange {
   uint64_t total_size = 0;
 };
 
-/// Parses "bytes 0-99/1234" (and "bytes 0-99/*").
+/// Parses "bytes 0-99/1234" (and "bytes 0-99/*"). A range that ends at
+/// or past its total ("bytes 0-99/50") is kInvalidArgument.
 Result<ContentRange> ParseContentRange(std::string_view value);
 
 }  // namespace http

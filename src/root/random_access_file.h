@@ -12,6 +12,16 @@
 namespace davix {
 namespace root {
 
+/// Bytes of the file head a remote open fetches with its one request,
+/// and the length of TreeReader::Open's first read, so that one read is
+/// served from the open's bytes. Sized so the whole open response (head
+/// plus ~300 bytes of HTTP header) fits one initial TCP congestion
+/// window (RFC 6928's IW10, 14 600 bytes): a cold connection then
+/// delivers it in one round trip, where 14 KiB would add a slow-start
+/// round trip. 13 KiB covers the index of the Figure-4 tree (12 418
+/// bytes).
+inline constexpr uint64_t kOpenHeadBytes = 13 * 1024;
+
 /// Completion token of an asynchronous vectored read.
 class PendingVecRead {
  public:

@@ -10,15 +10,17 @@ Result<std::unique_ptr<DavixRandomAccessFile>> DavixRandomAccessFile::Open(
     core::RequestParams params) {
   DAVIX_ASSIGN_OR_RETURN(core::DavFile file,
                          core::DavFile::Make(context, url));
-  DAVIX_ASSIGN_OR_RETURN(core::FileInfo info, file.Stat(params));
+  DAVIX_ASSIGN_OR_RETURN(core::OpenedFile opened,
+                         file.Open(kOpenHeadBytes, params));
   return std::unique_ptr<DavixRandomAccessFile>(new DavixRandomAccessFile(
-      std::move(file), std::move(params), info.size));
+      std::move(file), std::move(params), std::move(opened)));
 }
 
 Result<std::string> DavixRandomAccessFile::PRead(uint64_t offset,
                                                  uint64_t length) {
   if (offset >= size_) return std::string();
   length = std::min(length, size_ - offset);
+  if (offset + length <= head_.size()) return head_.substr(offset, length);
   return file_.ReadPartial(offset, length, params_);
 }
 

@@ -22,13 +22,19 @@ namespace root {
 /// closing the Figure 4 WAN gap the paper's synchronous davix exposed.
 class DavixRandomAccessFile : public RandomAccessFile {
  public:
-  /// Stats the remote file to learn its size. `context` must outlive the
-  /// returned object.
+  /// Opens the remote file with one ranged GET of its first
+  /// kOpenHeadBytes (DavFile::Open), which gives its size. The file
+  /// keeps those bytes: a PRead that falls inside them is served from
+  /// memory, so TreeReader::Open costs no further request for a tree
+  /// whose index fits the head. `context` must outlive the returned
+  /// object.
   static Result<std::unique_ptr<DavixRandomAccessFile>> Open(
       core::Context* context, const std::string& url,
       core::RequestParams params = {});
 
   uint64_t Size() const override { return size_; }
+  /// Served from the open's head bytes when [offset, offset + length)
+  /// lies inside them; a single-range GET otherwise.
   Result<std::string> PRead(uint64_t offset, uint64_t length) override;
   Result<std::vector<std::string>> PReadVec(
       const std::vector<http::ByteRange>& ranges) override;
@@ -38,12 +44,17 @@ class DavixRandomAccessFile : public RandomAccessFile {
 
  private:
   DavixRandomAccessFile(core::DavFile file, core::RequestParams params,
-                        uint64_t size)
-      : file_(std::move(file)), params_(std::move(params)), size_(size) {}
+                        core::OpenedFile opened)
+      : file_(std::move(file)),
+        params_(std::move(params)),
+        size_(opened.info.size),
+        head_(std::move(opened.head)) {}
 
   core::DavFile file_;
   core::RequestParams params_;
   uint64_t size_;
+  /// The file's first bytes as the open fetched them; read-only.
+  std::string head_;
 };
 
 /// RandomAccessFile over the xrootd-like protocol — the TXNetFile role.

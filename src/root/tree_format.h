@@ -72,8 +72,9 @@ std::string BuildTreeFile(const TreeSpec& spec, uint64_t seed);
 constexpr size_t kTreeHeaderSize = 41;
 
 /// Reads the fixed header and returns the size of the full header+index
-/// region (`data_begin`). Callers fetch kTreeHeaderSize bytes, call this,
-/// then fetch the full region and call ParseTreeIndex.
+/// region (`data_begin`). Callers fetch at least kTreeHeaderSize bytes,
+/// call this, fetch whatever of the region they still lack, then call
+/// ParseTreeIndex.
 Result<uint64_t> TreeIndexRegionSize(std::string_view header);
 
 /// Parses the complete header+index region (`head` must hold at least

@@ -4,13 +4,16 @@ namespace davix {
 namespace root {
 
 Result<TreeReader> TreeReader::Open(RandomAccessFile* file) {
-  DAVIX_ASSIGN_OR_RETURN(std::string header,
-                         file->PRead(0, kTreeHeaderSize));
-  DAVIX_ASSIGN_OR_RETURN(uint64_t region, TreeIndexRegionSize(header));
+  DAVIX_ASSIGN_OR_RETURN(std::string head, file->PRead(0, kOpenHeadBytes));
+  DAVIX_ASSIGN_OR_RETURN(uint64_t region, TreeIndexRegionSize(head));
   if (region > file->Size()) {
     return Status::Corruption("tree index region exceeds file size");
   }
-  DAVIX_ASSIGN_OR_RETURN(std::string head, file->PRead(0, region));
+  if (region > head.size()) {
+    DAVIX_ASSIGN_OR_RETURN(std::string rest,
+                           file->PRead(head.size(), region - head.size()));
+    head += rest;
+  }
   DAVIX_ASSIGN_OR_RETURN(TreeIndex index, ParseTreeIndex(head));
   return TreeReader(file, std::move(index));
 }

@@ -16,8 +16,10 @@ namespace root {
 /// TTree-metadata role. Basket *data* fetching is TreeCache's job.
 class TreeReader {
  public:
-  /// Reads and parses the header + basket index (two small reads).
-  /// `file` must outlive the reader.
+  /// Reads and parses the header + basket index. The first read takes
+  /// the file's first kOpenHeadBytes, which a remote open already holds;
+  /// only an index region larger than that costs a second read, of the
+  /// missing suffix alone. `file` must outlive the reader.
   static Result<TreeReader> Open(RandomAccessFile* file);
 
   const TreeIndex& index() const { return index_; }

@@ -163,6 +163,15 @@ TEST(RangeTest, ContentRangeRoundTrip) {
   ASSERT_OK_AND_ASSIGN(parsed, ParseContentRange("bytes 0-0/*"));
   EXPECT_EQ(parsed.total_size, 0u);
   EXPECT_FALSE(ParseContentRange("bytes x/y").ok());
+  // RFC 9110 §14.4: last-byte-pos must be below the complete length.
+  ASSERT_OK_AND_ASSIGN(parsed, ParseContentRange("bytes 0-99/100"));
+  EXPECT_EQ(parsed.total_size, 100u);
+  for (const char* bad : {"bytes 0-99/50", "bytes 0-99/99", "bytes 5-5/5",
+                          "bytes 0-0/0"}) {
+    EXPECT_EQ(ParseContentRange(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 // Property: parse(format(ranges)) == ranges for in-bounds ranges.

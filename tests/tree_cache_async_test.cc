@@ -17,7 +17,10 @@
 //    surfaces once and the cache recovers afterwards,
 //  - the async davix adapter is byte-exact against the sync mode under
 //    injected server faults,
-//  - URL scheme -> transport resolution through StorageAdapterRegistry.
+//  - URL scheme -> transport resolution through StorageAdapterRegistry,
+//  - a remote tree opens in one request: TreeReader::Open reads the
+//    file head once and only an index's missing suffix after it, and
+//    the davix open checks the head response it gets.
 
 #include <atomic>
 #include <condition_variable>
@@ -26,6 +29,7 @@
 #include "common/clock.h"
 #include "core/context.h"
 #include "muxhttp/mux.h"
+#include "netsim/link_profile.h"
 #include "root/analysis_job.h"
 #include "root/storage_adapter.h"
 #include "root/transport_adapters.h"
@@ -647,10 +651,12 @@ TEST(DavixAsyncFaultTest, ByteExactVersusSyncUnderServerFaults) {
     auto file = DavixRandomAccessFile::Open(
         &context, server.UrlFor("/tree.rnt"), params);
     EXPECT_TRUE(file.ok()) << file.status().ToString();
-    // Arm the faults after Open's stat: two mid-body truncations and one
-    // paced 503 (Retry-After), absorbed by the retry machinery underneath
-    // the prefetcher. A bare 503 would be handed back to the caller for
-    // fail-over (disabled here), so the injected one advertises a wait.
+    // Arm the faults after the open, so they land on cluster reads (the
+    // tree index comes from the open's head bytes): two mid-body
+    // truncations and one paced 503 (Retry-After), absorbed by the retry
+    // machinery underneath the prefetcher. A bare 503 would be handed
+    // back to the caller for fail-over (disabled here), so the injected
+    // one advertises a wait.
     server.server->faults().AddRule(
         {"/tree.rnt", netsim::FaultAction::kTruncateBody, 1.0, 2, 0});
     netsim::FaultRule paced;
@@ -716,6 +722,139 @@ TEST_F(StorageAdapterTest, DavixSchemeOpensAndReads) {
   EXPECT_TRUE(file->SupportsAsyncVec());
   ASSERT_OK_AND_ASSIGN(std::string head, file->PRead(0, 4));
   EXPECT_EQ(head, tree_.substr(0, 4));
+  // A read that straddles the end of the open's head bytes.
+  ASSERT_GT(tree_.size(), kOpenHeadBytes + 4);
+  ASSERT_OK_AND_ASSIGN(std::string straddle,
+                       file->PRead(kOpenHeadBytes - 4, 8));
+  EXPECT_EQ(straddle, tree_.substr(kOpenHeadBytes - 4, 8));
+
+  // A zero-length object answers the head range with 416 "bytes */0".
+  server_.store->Put("/empty", "");
+  ASSERT_OK_AND_ASSIGN(auto empty,
+                       OpenStorage("davix://" + HostPort() + "/empty",
+                                   params_));
+  EXPECT_EQ(empty->Size(), 0u);
+  ASSERT_OK_AND_ASSIGN(std::string nothing, empty->PRead(0, 4));
+  EXPECT_EQ(nothing, "");
+
+  EXPECT_EQ(OpenStorage("davix://" + HostPort() + "/missing", params_)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
+TEST_F(StorageAdapterTest, DavixOpenChecksTheHeadResponse) {
+  // Routes that answer the head range as a server ignoring Range, or a
+  // broken one, would.
+  auto router = std::make_shared<httpd::Router>();
+  router->Handle(http::Method::kGet, "/ignores-range",
+                 [whole = tree_](const http::HttpRequest&,
+                                 http::HttpResponse* response) {
+                   response->status_code = 200;
+                   response->body = whole;
+                 });
+  auto partial = [](std::optional<std::string> content_range) {
+    return [content_range](const http::HttpRequest&,
+                           http::HttpResponse* response) {
+      response->status_code = 206;
+      if (content_range) response->headers.Set("Content-Range", *content_range);
+      response->body = "abcd";
+    };
+  };
+  router->Handle(http::Method::kGet, "/no-content-range",
+                 partial(std::nullopt));
+  router->Handle(http::Method::kGet, "/not-at-zero", partial("bytes 4-7/100"));
+  router->Handle(http::Method::kGet, "/body-mismatch",
+                 partial("bytes 0-9/100"));
+  router->Handle(http::Method::kGet, "/past-total", partial("bytes 0-3/2"));
+  ASSERT_OK_AND_ASSIGN(auto server, httpd::HttpServer::Start({}, router));
+  std::string base = "davix://127.0.0.1:" + std::to_string(server->port());
+
+  {
+    ASSERT_OK_AND_ASSIGN(auto file,
+                         OpenStorage(base + "/ignores-range", params_));
+    EXPECT_EQ(file->Size(), tree_.size());
+    ASSERT_OK_AND_ASSIGN(std::string head, file->PRead(0, 4));
+    EXPECT_EQ(head, tree_.substr(0, 4));
+    ASSERT_OK_AND_ASSIGN(std::string past_head,
+                         file->PRead(kOpenHeadBytes, 100));
+    EXPECT_EQ(past_head, tree_.substr(kOpenHeadBytes, 100));
+  }
+  for (const char* path :
+       {"/no-content-range", "/not-at-zero", "/body-mismatch", "/past-total"}) {
+    EXPECT_EQ(OpenStorage(base + path, params_).status().code(),
+              StatusCode::kProtocolError)
+        << path;
+  }
+  server->Stop();
+}
+
+/// MemoryFile that logs the offset of every read.
+class OffsetLogFile : public MemoryFile {
+ public:
+  using MemoryFile::MemoryFile;
+  Result<std::string> PRead(uint64_t offset, uint64_t length) override {
+    offsets.push_back(offset);
+    return MemoryFile::PRead(offset, length);
+  }
+  std::vector<uint64_t> offsets;
+};
+
+TEST_F(StorageAdapterTest, TreeOpenReadsTheHeadThenOnlyTheMissingSuffix) {
+  OffsetLogFile small(tree_);
+  ASSERT_OK_AND_ASSIGN(TreeReader reader, TreeReader::Open(&small));
+  EXPECT_LT(reader.index().data_begin, kOpenHeadBytes);
+  EXPECT_EQ(small.offsets, (std::vector<uint64_t>{0}));
+
+  // 1000 one-byte-wide baskets: 16 000 bytes of index, more than the head.
+  TreeSpec wide;
+  wide.n_events = 2000;
+  wide.events_per_basket = 2;
+  wide.branches = {{"b", 1}};
+  std::string wide_tree = BuildTreeFile(wide, 5);
+  OffsetLogFile big(wide_tree);
+  ASSERT_OK_AND_ASSIGN(TreeReader wide_reader, TreeReader::Open(&big));
+  ASSERT_GT(wide_reader.index().data_begin, kOpenHeadBytes);
+  EXPECT_EQ(big.offsets, (std::vector<uint64_t>{0, kOpenHeadBytes}));
+  ASSERT_OK_AND_ASSIGN(TreeIndex truth, ParseTreeIndex(wide_tree));
+  ASSERT_EQ(wide_reader.index().baskets.size(), 1u);
+  ASSERT_EQ(wide_reader.index().baskets[0].size(), truth.baskets[0].size());
+  EXPECT_EQ(wide_reader.index().baskets[0].back().offset,
+            truth.baskets[0].back().offset);
+}
+
+TEST_F(StorageAdapterTest, TreeOpenIsOneRequestInsideTheInitialWindow) {
+  auto mux = muxhttp::MuxServer::Start({}, server_.router);
+  ASSERT_TRUE(mux.ok()) << mux.status().ToString();
+  auto served = [&] {
+    return server_.server->stats().requests_handled.load() +
+           (*mux)->stats().requests_handled.load();
+  };
+  for (const std::string& url :
+       {"davix://" + HostPort() + "/tree.rnt",
+        "davix+mux://127.0.0.1:" + std::to_string((*mux)->port()) +
+            "/tree.rnt"}) {
+    SCOPED_TRACE(url);
+    core::Context context;
+    StorageOpenParams params = params_;
+    params.context = &context;
+    uint64_t before = served();
+    ASSERT_OK_AND_ASSIGN(auto file, OpenStorage(url, params));
+    ASSERT_OK_AND_ASSIGN(TreeReader reader, TreeReader::Open(file.get()));
+    EXPECT_EQ(reader.spec().n_events, spec_.n_events);
+    EXPECT_EQ(served() - before, 1u);
+    IoCounters io = context.SnapshotCounters();
+    EXPECT_EQ(io.requests, 1u);
+    // The open's whole response, a full head plus its header, fits the
+    // first congestion window of a cold WAN connection: a bigger head
+    // would cost a slow-start round trip.
+    ASSERT_GT(file->Size(), kOpenHeadBytes);
+    EXPECT_GT(io.bytes_read, kOpenHeadBytes);
+    EXPECT_LE(io.bytes_read,
+              static_cast<uint64_t>(
+                  netsim::LinkProfile::Wan().init_cwnd_bytes));
+  }
+  (*mux)->Stop();
 }
 
 TEST_F(StorageAdapterTest, DavixSchemeRequiresContext) {
