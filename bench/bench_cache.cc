@@ -14,6 +14,10 @@
 // Every run CRC-verifies delivery against the stored object, and a
 // cache-disabled control run must be byte-identical (same CRC) to the
 // cache-enabled cold run — caching may never change delivered bytes.
+// A run's time and request count start before DavPosix::Open, so the
+// open's own requests (the HEAD, or a cold scan's first window) count.
+// A full run repeats every phase 5 times, each on fresh Contexts
+// (--smoke: once), and reports the median with min and max.
 //
 // Acceptance: warm scan >= 5x cold scan on WAN; disabled CRC == cold
 // CRC. Committed results: BENCH_cache.json.
@@ -71,15 +75,15 @@ RunOutcome RunScan(core::Context* context, const std::string& url,
   params.metalink_mode = core::MetalinkMode::kDisabled;
   params.readahead_bytes = kChunkBytes;
   params.readahead_window_chunks = kWindowChunks;
+  context->ResetCounters();
+  RunOutcome outcome;
+  Stopwatch stopwatch;
   auto fd = posix.Open(url, params);
   if (!fd.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
                  fd.status().ToString().c_str());
     std::exit(1);
   }
-  context->ResetCounters();
-  RunOutcome outcome;
-  Stopwatch stopwatch;
   while (true) {
     auto chunk = posix.Read(*fd, kConsumeChunk);
     if (!chunk.ok()) {
@@ -109,9 +113,6 @@ RunOutcome RunVec(core::Context* context, const std::string& url,
   core::DavPosix posix(context);
   core::RequestParams params;
   params.metalink_mode = core::MetalinkMode::kDisabled;
-  auto fd = posix.Open(url, params);
-  if (!fd.ok()) std::exit(1);
-
   uint64_t fragment = object_bytes / (kVecFragments * 2);
   std::vector<http::ByteRange> ranges;
   ranges.reserve(kVecFragments);
@@ -121,6 +122,8 @@ RunOutcome RunVec(core::Context* context, const std::string& url,
   context->ResetCounters();
   RunOutcome outcome;
   Stopwatch stopwatch;
+  auto fd = posix.Open(url, params);
+  if (!fd.ok()) std::exit(1);
   auto results = posix.PReadVec(*fd, ranges);
   if (!results.ok()) {
     std::fprintf(stderr, "vectored read failed: %s\n",
@@ -142,14 +145,31 @@ RunOutcome RunVec(core::Context* context, const std::string& url,
   return outcome;
 }
 
+/// One phase's repetitions: the seconds of every run, the last run's
+/// outcome (counts and CRC are the same on every run), and whether every
+/// run delivered the expected CRC.
+struct Phase {
+  SampleStats seconds;
+  RunOutcome last;
+  bool verified = true;
+
+  void Add(const RunOutcome& outcome, uint32_t expect_crc) {
+    seconds.Add(outcome.seconds);
+    last = outcome;
+    verified = verified && outcome.crc == expect_crc;
+  }
+  double Median() const { return seconds.Percentile(50); }
+};
+
 void Report(JsonReporter* json, const netsim::LinkProfile& link,
             const char* scenario, const char* phase, bool cache_enabled,
-            const RunOutcome& outcome, bool verified) {
-  double mbps = outcome.seconds > 0
-                    ? outcome.bytes / outcome.seconds / 1e6
-                    : 0.0;
-  std::printf("%-6s %-6s %-14s %10.3f %12.1f %9llu %9llu %14llu\n",
-              link.name.c_str(), scenario, phase, outcome.seconds, mbps,
+            const Phase& runs) {
+  const RunOutcome& outcome = runs.last;
+  double median = runs.Median();
+  double mbps = median > 0 ? outcome.bytes / median / 1e6 : 0.0;
+  std::printf("%-6s %-6s %-14s %10.3f %6.3f-%-6.3f %12.1f %9llu %9llu %14llu\n",
+              link.name.c_str(), scenario, phase, median, runs.seconds.Min(),
+              runs.seconds.Max(), mbps,
               static_cast<unsigned long long>(outcome.io.requests),
               static_cast<unsigned long long>(outcome.io.cache_hits),
               static_cast<unsigned long long>(outcome.io.cache_bytes_saved));
@@ -158,7 +178,7 @@ void Report(JsonReporter* json, const netsim::LinkProfile& link,
       .Str("scenario", scenario)
       .Str("phase", phase)
       .Int("cache_enabled", cache_enabled ? 1 : 0)
-      .Num("seconds", outcome.seconds)
+      .Median("seconds", runs.seconds)
       .Num("mbps", mbps)
       .Int("bytes", outcome.bytes)
       .Int("requests", outcome.io.requests)
@@ -167,7 +187,7 @@ void Report(JsonReporter* json, const netsim::LinkProfile& link,
       .Int("cache_evictions", outcome.io.cache_evictions)
       .Int("cache_bytes_saved", outcome.io.cache_bytes_saved)
       .Int("crc32", outcome.crc)
-      .Int("verified", verified ? 1 : 0);
+      .Int("verified", runs.verified ? 1 : 0);
 }
 
 }  // namespace
@@ -192,55 +212,58 @@ int main(int argc, char** argv) {
   std::string url = node.UrlFor(kPath);
 
   JsonReporter json("cache");
-  std::printf("%-6s %-6s %-14s %10s %12s %9s %9s %14s\n", "link", "bench",
-              "phase", "time[s]", "MB/s", "requests", "hits", "bytes-saved");
+  std::printf("%-6s %-6s %-14s %10s %13s %12s %9s %9s %14s\n", "link",
+              "bench", "phase", "median[s]", "min-max[s]", "MB/s", "requests",
+              "hits", "bytes-saved");
 
-  // --- scan: cold fill, then warm re-scan on the same Context --------
-  core::Context cached_context({}, 0, CacheConfig(true));
-  RunOutcome scan_cold = RunScan(&cached_context, url, object_bytes);
-  Report(&json, wan, "scan", "cold", true, scan_cold,
-         scan_cold.crc == content_crc);
-  RunOutcome scan_warm = RunScan(&cached_context, url, object_bytes);
-  Report(&json, wan, "scan", "warm", true, scan_warm,
-         scan_warm.crc == content_crc);
+  const int reps = args.smoke ? 1 : 5;
+  Phase scan_cold, scan_warm, scan_off, vec_cold, vec_warm;
+  uint32_t vec_crc = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    // --- scan: cold fill, then warm re-scan on the same Context ------
+    core::Context cached_context({}, 0, CacheConfig(true));
+    scan_cold.Add(RunScan(&cached_context, url, object_bytes), content_crc);
+    scan_warm.Add(RunScan(&cached_context, url, object_bytes), content_crc);
 
-  // --- scan: cache-disabled control (must be byte-identical) ---------
-  core::Context plain_context({}, 0, CacheConfig(false));
-  RunOutcome scan_off = RunScan(&plain_context, url, object_bytes);
-  Report(&json, wan, "scan", "disabled", false, scan_off,
-         scan_off.crc == content_crc);
+    // --- scan: cache-disabled control (must be byte-identical) -------
+    core::Context plain_context({}, 0, CacheConfig(false));
+    scan_off.Add(RunScan(&plain_context, url, object_bytes), content_crc);
 
-  // --- vectored: cold vs warm on a fresh cached Context --------------
-  core::Context vec_context({}, 0, VecCacheConfig());
-  RunOutcome vec_cold = RunVec(&vec_context, url, object_bytes, content);
-  Report(&json, wan, "vec", "cold", true, vec_cold,
-         vec_cold.crc != 0);
-  RunOutcome vec_warm = RunVec(&vec_context, url, object_bytes, content);
-  Report(&json, wan, "vec", "warm", true, vec_warm,
-         vec_warm.crc == vec_cold.crc);
+    // --- vectored: cold vs warm on a fresh cached Context ------------
+    // RunVec checks every fragment against the object; the CRC of the
+    // fragments must then agree across runs and phases.
+    core::Context vec_context({}, 0, VecCacheConfig());
+    RunOutcome cold = RunVec(&vec_context, url, object_bytes, content);
+    if (rep == 0) vec_crc = cold.crc;
+    vec_cold.Add(cold, vec_crc);
+    vec_warm.Add(RunVec(&vec_context, url, object_bytes, content), vec_crc);
+  }
+  Report(&json, wan, "scan", "cold", true, scan_cold);
+  Report(&json, wan, "scan", "warm", true, scan_warm);
+  Report(&json, wan, "scan", "disabled", false, scan_off);
+  Report(&json, wan, "vec", "cold", true, vec_cold);
+  Report(&json, wan, "vec", "warm", true, vec_warm);
 
-  bool crc_ok = scan_cold.crc == content_crc &&
-                scan_warm.crc == content_crc &&
-                scan_off.crc == content_crc &&
-                vec_warm.crc == vec_cold.crc;
-  double scan_speedup = scan_warm.seconds > 0
-                            ? scan_cold.seconds / scan_warm.seconds
+  bool crc_ok = scan_cold.verified && scan_warm.verified &&
+                scan_off.verified && vec_cold.verified && vec_warm.verified;
+  double scan_speedup = scan_warm.Median() > 0
+                            ? scan_cold.Median() / scan_warm.Median()
                             : 0.0;
   double vec_speedup =
-      vec_warm.seconds > 0 ? vec_cold.seconds / vec_warm.seconds : 0.0;
+      vec_warm.Median() > 0 ? vec_cold.Median() / vec_warm.Median() : 0.0;
   std::printf(
-      "\nwarm-over-cold speedup: scan %.1fx, vectored %.1fx; "
+      "\nwarm-over-cold speedup (medians): scan %.1fx, vectored %.1fx; "
       "warm scan requests: %llu\n"
       "CRC check (enabled cold == disabled == stored object): %s\n",
       scan_speedup, vec_speedup,
-      static_cast<unsigned long long>(scan_warm.io.requests),
+      static_cast<unsigned long long>(scan_warm.last.io.requests),
       crc_ok ? "OK" : "MISMATCH");
   json.AddRow()
       .Str("link", wan.name)
       .Str("scenario", "summary")
       .Num("scan_warm_over_cold", scan_speedup)
       .Num("vec_warm_over_cold", vec_speedup)
-      .Int("warm_scan_requests", scan_warm.io.requests)
+      .Int("warm_scan_requests", scan_warm.last.io.requests)
       .Int("crc_identical", crc_ok ? 1 : 0);
   json.WriteTo(args.json_path);
 
@@ -251,10 +274,13 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nexpected shape: the cold scan pays one WAN round trip per chunk\n"
-      "(hidden partly by the async window); the warm scan touches the\n"
-      "wire not at all — every chunk is served by the cache probe — so\n"
-      "it runs at memory speed, far beyond the 5x acceptance bar. The\n"
-      "disabled control matches the cold CRC bit for bit: the cache\n"
-      "never changes delivered bytes, only where they come from.\n");
+      "(hidden partly by the async window; its open sends the first\n"
+      "window, so it costs no extra request); the warm scan's only\n"
+      "request is the open's revalidation HEAD — every chunk is served\n"
+      "by the cache probe — so it runs in about one round trip, far\n"
+      "beyond the 5x acceptance bar. The vectored phases pay the open's\n"
+      "HEAD too. The disabled control matches the cold CRC bit for bit:\n"
+      "the cache never changes delivered bytes, only where they come\n"
+      "from.\n");
   return 0;
 }

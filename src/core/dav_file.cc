@@ -226,6 +226,14 @@ Result<OpenedFile> DavFile::Open(uint64_t head_bytes,
   if (head_bytes == 0) {
     return Status::InvalidArgument("Open needs a non-empty head");
   }
+  BlockCache* cache = params.use_block_cache &&
+                              context_->block_cache().enabled() &&
+                              replica_set_ == nullptr
+                          ? &context_->block_cache()
+                          : nullptr;
+  // The head always comes from the wire, so it counts as a miss, as
+  // every read that skips the cache lookups does.
+  if (cache != nullptr) cache->RecordMisses(1);
   return WithFailover<OpenedFile>(
       params,
       [&](const Uri& replica, const RequestParams& p) -> Result<OpenedFile> {
@@ -262,6 +270,14 @@ Result<OpenedFile> DavFile::Open(uint64_t head_bytes,
             return HttpStatusToStatus(response.status_code, what);
         }
         ReadValidators(response.headers, &opened.info);
+        if (cache != nullptr && !response.body.empty()) {
+          // Published like every other read path's fill (a 200 body is
+          // the whole object), so a later pass reads the head from
+          // memory.
+          cache->Insert(BlockCache::UrlKey(url_),
+                        ValidatorFrom(response.headers), 0, response.body,
+                        opened.info.size);
+        }
         if (response.body.size() > head_bytes) response.body.resize(head_bytes);
         opened.head = std::move(response.body);
         return opened;

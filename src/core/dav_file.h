@@ -74,7 +74,10 @@ class DavFile {
   /// from `Content-Range: bytes 0-b/total`; a 200 (the server ignored
   /// Range) gives the body length; a 416 with `bytes */0` is an empty
   /// object. Any other Content-Range or 416 is kProtocolError. Errors
-  /// map, and fail over across replicas, as Stat's do.
+  /// map, and fail over across replicas, as Stat's do. With the block
+  /// cache on and no replica set pinned, the response's bytes are
+  /// published into the cache under its validators and the object's
+  /// size, as every read path's are.
   Result<OpenedFile> Open(uint64_t head_bytes,
                           const RequestParams& params = {});
 

@@ -27,28 +27,53 @@ Result<int> DavPosix::Open(const std::string& url,
                         << resolved.ToString();
     }
   }
-  DAVIX_ASSIGN_OR_RETURN(FileInfo info, file.Stat(params));
-  BlockValidator validator;
-  validator.etag = info.etag;
-  validator.mtime_epoch_seconds = info.mtime_epoch_seconds;
-  if (params.use_block_cache && context_->block_cache().enabled() &&
-      params.cache_revalidation != CacheRevalidatePolicy::kNever) {
-    // The existence Stat doubles as cache revalidation (kOnOpen, and
-    // the first checkpoint of kAlways): blocks cached from an older
-    // generation of the object are dropped before the first read.
-    context_->block_cache().NoteValidator(
-        BlockCache::UrlKey(file.url()), validator);
-  }
-  if (std::shared_ptr<ReplicaSet> set = file.replica_set()) {
-    // The generation Open observed is the generation this descriptor
-    // reads: replicas that later serve a different ETag are quarantined
-    // and their bytes dropped, deterministically anchored here.
-    set->SeedValidator(validator);
-  }
   auto open_file = std::make_shared<OpenFile>();
   open_file->file = std::make_shared<DavFile>(std::move(file));
   open_file->params = params;
-  open_file->size = info.size;
+  DavFile& dav = *open_file->file;
+  BlockCache& cache = context_->block_cache();
+  const bool cached = params.use_block_cache && cache.enabled();
+  const std::string key = BlockCache::UrlKey(dav.url());
+  if (params.readahead_bytes > 0 && params.readahead_window_chunks > 0 &&
+      dav.replica_set() == nullptr && !(cached && cache.HasUrl(key))) {
+    // A cold open with a window sends the window's first W range-GETs
+    // as the open: chunks 1..W-1 go to the dispatcher first, then chunk
+    // 0 is fetched on this thread, and its answer gives the size, the
+    // validators and existence. The HEAD below stays where it does work
+    // of its own: revalidating resident blocks (kOnOpen), anchoring a
+    // replica set's generation before any chunk is admitted, and depth
+    // 0, which fetches nothing before a Read needs it.
+    std::unique_ptr<ReadAheadStream> stream = MakeStream(*open_file);
+    stream->StartUnsized();
+    // On failure the stream is dropped here: its fetches finish on the
+    // dispatcher and are discarded.
+    DAVIX_ASSIGN_OR_RETURN(OpenedFile opened,
+                           dav.Open(params.readahead_bytes, params));
+    open_file->size = opened.info.size;
+    stream->FillFront(std::move(opened.head), opened.info.size);
+    OpenFile* f = open_file.get();
+    MutexLock lock(f->mu);
+    f->stream = std::move(stream);
+  } else {
+    DAVIX_ASSIGN_OR_RETURN(FileInfo info, dav.Stat(params));
+    BlockValidator validator;
+    validator.etag = info.etag;
+    validator.mtime_epoch_seconds = info.mtime_epoch_seconds;
+    if (cached && params.cache_revalidation != CacheRevalidatePolicy::kNever) {
+      // The existence Stat doubles as cache revalidation (kOnOpen, and
+      // the first checkpoint of kAlways): blocks cached from an older
+      // generation of the object are dropped before the first read.
+      cache.NoteValidator(key, validator);
+    }
+    if (std::shared_ptr<ReplicaSet> set = dav.replica_set()) {
+      // The generation Open observed is the generation this descriptor
+      // reads: replicas that later serve a different ETag are
+      // quarantined and their bytes dropped, deterministically anchored
+      // here.
+      set->SeedValidator(validator);
+    }
+    open_file->size = info.size;
+  }
   MutexLock lock(mu_);
   int fd = next_fd_++;
   open_files_[fd] = std::move(open_file);
@@ -81,45 +106,46 @@ Result<std::string> DavPosix::Read(int fd, size_t count) {
   return ReadWindowed(f, want);
 }
 
-Result<std::string> DavPosix::ReadWindowed(OpenFile* file, uint64_t want) {
-  if (!file->stream) {
-    ReadAheadStreamConfig config;
-    config.chunk_bytes = file->params.readahead_bytes;
-    config.window_chunks = file->params.readahead_window_chunks;
-    config.file_size = file->size;
-    // The fetch closure owns everything it touches: a Close (or even
-    // DavPosix destruction) while chunks are in flight stays safe.
-    std::shared_ptr<DavFile> dav = file->file;
-    RequestParams params = file->params;
-    if (params.use_block_cache && context_->block_cache().enabled() &&
-        params.cache_revalidation != CacheRevalidatePolicy::kAlways) {
-      // Warm chunks come straight from the block cache instead of
-      // being scheduled as range-GETs; cold chunks are published into
-      // it by the fetch's ReadPartial, so the next pass over the file
-      // streams from memory. kAlways keeps the probe off: its contract
-      // is a HEAD before any cache-served read, and only the fetch
-      // path (ReadPartialVecAt) performs that revalidation.
-      BlockCache* cache = &context_->block_cache();
-      std::string key = BlockCache::UrlKey(dav->url());
-      config.probe = [cache, key](uint64_t offset, uint64_t length,
-                                  std::string* out) {
-        return cache->TryReadFull(key, offset, length, out);
-      };
-    }
-    // Each in-flight chunk arms its own deadline from the (unarmed)
-    // copied params inside ReadPartial, so total_timeout_micros and
-    // min_throughput_bytes_per_sec bound every chunk independently: a
-    // wedged or trickling chunk times out (or stall-aborts) and fails
-    // over on its own, instead of stalling the whole window behind it.
-    // Depth 0 fetches on the reading thread, so it leaves the lazy
-    // dispatcher unstarted.
-    file->stream = std::make_unique<ReadAheadStream>(
-        [dav, params](uint64_t offset, uint64_t length) {
-          return dav->ReadPartial(offset, length, params);
-        },
-        config.window_chunks > 0 ? &context_->dispatcher() : nullptr,
-        config);
+std::unique_ptr<ReadAheadStream> DavPosix::MakeStream(const OpenFile& file) {
+  ReadAheadStreamConfig config;
+  config.chunk_bytes = file.params.readahead_bytes;
+  config.window_chunks = file.params.readahead_window_chunks;
+  config.file_size = file.size;
+  // The fetch closure owns everything it touches: a Close (or even
+  // DavPosix destruction) while chunks are in flight stays safe.
+  std::shared_ptr<DavFile> dav = file.file;
+  RequestParams params = file.params;
+  if (params.use_block_cache && context_->block_cache().enabled() &&
+      params.cache_revalidation != CacheRevalidatePolicy::kAlways) {
+    // Warm chunks come straight from the block cache instead of being
+    // scheduled as range-GETs; cold chunks are published into it by the
+    // fetch's ReadPartial, so the next pass over the file streams from
+    // memory. kAlways keeps the probe off: its contract is a HEAD before
+    // any cache-served read, and only the fetch path (ReadPartialVecAt)
+    // performs that revalidation.
+    BlockCache* cache = &context_->block_cache();
+    std::string key = BlockCache::UrlKey(dav->url());
+    config.probe = [cache, key](uint64_t offset, uint64_t length,
+                                std::string* out) {
+      return cache->TryReadFull(key, offset, length, out);
+    };
   }
+  // Each in-flight chunk arms its own deadline from the (unarmed) copied
+  // params inside ReadPartial, so total_timeout_micros and
+  // min_throughput_bytes_per_sec bound every chunk independently: a
+  // wedged or trickling chunk times out (or stall-aborts) and fails over
+  // on its own, instead of stalling the whole window behind it. Depth 0
+  // fetches on the reading thread, so it leaves the lazy dispatcher
+  // unstarted.
+  return std::make_unique<ReadAheadStream>(
+      [dav, params](uint64_t offset, uint64_t length) {
+        return dav->ReadPartial(offset, length, params);
+      },
+      config.window_chunks > 0 ? &context_->dispatcher() : nullptr, config);
+}
+
+Result<std::string> DavPosix::ReadWindowed(OpenFile* file, uint64_t want) {
+  if (!file->stream) file->stream = MakeStream(*file);
   Result<std::string> out = file->stream->Read(file->cursor, want);
   if (out.ok()) file->cursor += out->size();
   return out;

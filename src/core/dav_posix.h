@@ -32,8 +32,10 @@ namespace core {
 ///
 /// Caching: every read path consults and fills the Context's block
 /// cache when one is configured (see RequestParams::use_block_cache
-/// and cache_revalidation; Open's Stat doubles as revalidation under
-/// the default kOnOpen policy).
+/// and cache_revalidation). Open of an object with resident blocks
+/// sends a HEAD, which doubles as revalidation under the default
+/// kOnOpen policy; a cold windowed open publishes its chunk 0 like any
+/// other fill.
 class DavPosix {
  public:
   /// `context` must outlive this object.
@@ -42,7 +44,15 @@ class DavPosix {
   DavPosix(const DavPosix&) = delete;
   DavPosix& operator=(const DavPosix&) = delete;
 
-  /// Opens `url` for reading; verifies existence with a Stat.
+  /// Opens `url` for reading; a missing object is kNotFound here. A
+  /// descriptor with an asynchronous window (readahead_bytes > 0 and
+  /// readahead_window_chunks > 0), no resolved replica set, and no block
+  /// of the object in the cache opens with the window itself: chunks
+  /// 1..W-1 go to the dispatcher, and chunk 0 is a DavFile::Open on the
+  /// calling thread whose answer gives the size and validators, so the
+  /// open costs no extra round trip. Every other descriptor verifies
+  /// existence with a Stat (HEAD), which also revalidates resident
+  /// blocks and anchors a replica set's generation.
   Result<int> Open(const std::string& url, const RequestParams& params = {});
 
   /// Sequential read of up to `count` bytes at the descriptor's cursor.
@@ -96,12 +106,17 @@ class DavPosix {
     uint64_t size = 0;
     Mutex mu;
     uint64_t cursor GUARDED_BY(mu) = 0;
-    // Read-ahead window (params.readahead_bytes > 0), created lazily on
+    // Read-ahead window (params.readahead_bytes > 0): created by a cold
+    // windowed Open with its first window in flight, otherwise lazily on
     // the first buffered Read.
     std::unique_ptr<ReadAheadStream> stream GUARDED_BY(mu);
   };
 
   Result<std::shared_ptr<OpenFile>> Lookup(int fd) const;
+
+  /// The read-ahead window of `file`, configured from its params, with
+  /// the block-cache probe when the cache serves this descriptor.
+  std::unique_ptr<ReadAheadStream> MakeStream(const OpenFile& file);
 
   /// Serves Read from the read-ahead window.
   Result<std::string> ReadWindowed(OpenFile* file, uint64_t want)

@@ -21,6 +21,46 @@ void ReadAheadStream::Invalidate() {
   window_.clear();
 }
 
+void ReadAheadStream::StartUnsized() {
+  // The opener fetches chunk 0, so its slot starts claimed: neither a
+  // pool task nor WaitForChunk's inline fallback ever fetches it.
+  Chunk front;
+  front.length = config_.chunk_bytes;
+  front.state = std::make_shared<ChunkState>();
+  front.state->claimed.store(true, std::memory_order_release);
+  window_.push_back(std::move(front));
+  window_end_ = config_.chunk_bytes;
+  // A provisional size of W chunks makes TopUp plan exactly chunks
+  // 1..W-1. An absurd chunk size that wraps the product only plans
+  // fewer; FillFront sets the real size either way.
+  config_.file_size = config_.chunk_bytes * config_.window_chunks;
+  TopUp(0);
+}
+
+void ReadAheadStream::FillFront(std::string head, uint64_t size) {
+  config_.file_size = size;
+  Chunk& front = window_.front();
+  front.length = std::min(front.length, size);
+  {
+    // No fetch ever touches this slot (it was claimed at StartUnsized);
+    // locked for the GUARDED_BY discipline.
+    MutexLock lock(front.state->mu);
+    front.state->data = std::move(head);
+    front.state->done = true;
+  }
+  // Keep only chunks wholly inside [0, size): the ones planned past EOF
+  // go, and so does the one straddling it, which the TopUp below sends
+  // again, clamped. For an empty object the front slot goes too.
+  while (!window_.empty()) {
+    const Chunk& back = window_.back();
+    if (back.offset < size && back.offset + back.length <= size) break;
+    back.state->abandoned.store(true, std::memory_order_release);
+    window_end_ = back.offset;
+    window_.pop_back();
+  }
+  TopUp(0);
+}
+
 void ReadAheadStream::TopUp(uint64_t need) {
   // Depth 0 holds only the chunk under the cursor, added when a Read
   // needs bytes and sized to cover all of them: one Read, one fetch.

@@ -66,7 +66,9 @@ struct ReadAheadStreamConfig {
 /// are delivered strictly in offset order through the bounded window
 /// deque, so on a high-RTT path the next chunk's latency is hidden
 /// behind consumption of the current one. Depth 0 is the synchronous
-/// buffer: one chunk, fetched only for the Read that needs it.
+/// buffer: one chunk, fetched only for the Read that needs it. An opener
+/// that does not know the size yet can put the whole first window on
+/// the wire with its own fetch of chunk 0 (StartUnsized, FillFront).
 ///
 /// Error handling: the first failed chunk surfaces on the Read that
 /// reaches it (delivery is in order, so that is the earliest-offset
@@ -79,10 +81,11 @@ struct ReadAheadStreamConfig {
 /// mid-stream, so a dying source degrades throughput instead of
 /// surfacing an error here.
 ///
-/// Thread-safe: partially — Read/Invalidate require external
-/// synchronisation (the DavPosix descriptor lock provides it); the
-/// internal locking only covers chunk completion, which happens on
-/// dispatcher threads.
+/// Thread-safe: partially — StartUnsized/FillFront/Read/Invalidate
+/// require external synchronisation (DavPosix::Open runs the first two
+/// before the descriptor is published, and the descriptor lock covers
+/// the rest); the internal locking only covers chunk completion, which
+/// happens on dispatcher threads.
 class ReadAheadStream {
  public:
   /// `pool` must outlive the stream; null runs every fetch on the
@@ -98,6 +101,22 @@ class ReadAheadStream {
 
   ReadAheadStream(const ReadAheadStream&) = delete;
   ReadAheadStream& operator=(const ReadAheadStream&) = delete;
+
+  /// Opens the window at offset 0 before the object's size is known, for
+  /// an opener that fetches chunk 0 itself: chunk 0 becomes a front slot
+  /// that only FillFront completes, and chunks 1..W-1 are scheduled as if
+  /// the object were at least W chunks long. Call once, on a fresh
+  /// stream with window_chunks > 0, before any Read; the configured
+  /// file_size is ignored until FillFront replaces it.
+  void StartUnsized();
+
+  /// Completes the front slot StartUnsized left open. `head` must be the
+  /// object's first min(chunk_bytes, size) bytes (a Read that reaches a
+  /// head of any other length fails with kProtocolError) and `size` its
+  /// total size. Chunks planned at or past EOF are dropped, and one that
+  /// straddles EOF is abandoned and sent again, clamped: the 416 or
+  /// short 206 those planned fetches get never surfaces.
+  void FillFront(std::string head, uint64_t size);
 
   /// Sequential read of up to `count` bytes at absolute offset
   /// `position` (empty string = EOF). A position outside what the window

@@ -127,8 +127,9 @@ Result<std::vector<BytesPartView>> ParseMultipartViews(
     }
 
     // Body: exactly range.length bytes, then CRLF + next delimiter. The
-    // part keeps a view into `body` — no payload copy.
-    if (pos + part.range.length > body.size()) {
+    // part keeps a view into `body` — no payload copy. Compared without
+    // `pos + length`, which a huge declared range could wrap.
+    if (part.range.length > body.size() - pos) {
       return Status::ProtocolError("truncated multipart part body");
     }
     part.data = body.substr(pos, part.range.length);

@@ -1,6 +1,7 @@
 #include "http/range.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/string_util.h"
 
@@ -94,7 +95,9 @@ Result<ContentRange> ParseContentRange(std::string_view value) {
   }
   std::optional<uint64_t> start = ParseUint64(range_part.substr(0, dash));
   std::optional<uint64_t> end = ParseUint64(range_part.substr(dash + 1));
-  if (!start || !end || *end < *start) {
+  // A last-byte-pos of 2^64-1 would make the length wrap to 0.
+  if (!start || !end || *end < *start ||
+      *end == std::numeric_limits<uint64_t>::max()) {
     return Status::InvalidArgument("bad content-range bounds: " +
                                    std::string(value));
   }

@@ -355,7 +355,11 @@ TEST_F(BlockCacheIntegrationTest, VectoredWarmRangesCarvedOut) {
 TEST_F(BlockCacheIntegrationTest, ReadAheadWindowPublishesAndConsumes) {
   params_.readahead_bytes = 16 * 1024;
   params_.readahead_window_chunks = 3;
+  const std::atomic<uint64_t>& heads = server_.handler->stats().head_requests;
+  const uint64_t heads_before = heads.load();
   ASSERT_OK_AND_ASSIGN(int fd, posix_->Open(server_.UrlFor("/f.bin"), params_));
+  // Nothing resident: the open is the window's first chunks, no HEAD.
+  EXPECT_EQ(heads.load(), heads_before);
   std::string streamed;
   while (true) {
     ASSERT_OK_AND_ASSIGN(std::string chunk, posix_->Read(fd, 20'000));
@@ -367,9 +371,12 @@ TEST_F(BlockCacheIntegrationTest, ReadAheadWindowPublishesAndConsumes) {
   uint64_t gets_after_cold = ServerGets();
 
   // Second streaming pass: the window's probe serves every chunk from
-  // the cache — zero range-GETs on the wire.
+  // the cache — zero range-GETs on the wire. With blocks resident (chunk
+  // 0 included, published by the cold open), the open is one HEAD: the
+  // kOnOpen revalidation.
   ASSERT_OK_AND_ASSIGN(int fd2,
                        posix_->Open(server_.UrlFor("/f.bin"), params_));
+  EXPECT_EQ(heads.load(), heads_before + 1);
   std::string warm;
   while (true) {
     ASSERT_OK_AND_ASSIGN(std::string chunk, posix_->Read(fd2, 20'000));

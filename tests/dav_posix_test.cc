@@ -2,6 +2,7 @@
 #include <atomic>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/rng.h"
 #include "core/context.h"
 #include "core/dav_posix.h"
@@ -48,6 +49,20 @@ TEST_F(DavPosixTest, OpenReadClose) {
 
 TEST_F(DavPosixTest, OpenMissingFails) {
   EXPECT_FALSE(posix_->Open(server_.UrlFor("/absent"), params_).ok());
+  // A cold windowed open learns existence from the window's chunk 0.
+  params_.readahead_bytes = 4096;
+  params_.readahead_window_chunks = 4;
+  EXPECT_EQ(posix_->Open(server_.UrlFor("/absent"), params_).status().code(),
+            StatusCode::kNotFound);
+  // Tearing down right away joins the dispatcher: the open's other
+  // fetches (at most W - 1 more 404s) are finished, none still running.
+  posix_.reset();
+  context_.reset();
+  const httpd::DavHandlerStats& stats = server_.handler->stats();
+  uint64_t gets = stats.get_requests.load();
+  EXPECT_LE(gets, 4u);
+  SleepForMicros(20'000);
+  EXPECT_EQ(stats.get_requests.load(), gets);
 }
 
 TEST_F(DavPosixTest, ReadToEofReturnsShortThenEmpty) {
@@ -156,9 +171,11 @@ TEST_F(DavPosixTest, ReadAheadReadLargerThanBufferCostsOneRequest) {
 TEST_F(DavPosixTest, AsyncReadAheadSequentialDelivery) {
   params_.readahead_bytes = 8192;
   params_.readahead_window_chunks = 4;
+  // Counted from before Open: the cold open sends the first window, and
+  // no HEAD.
+  context_->ResetCounters();
   ASSERT_OK_AND_ASSIGN(int fd,
                        posix_->Open(server_.UrlFor("/f.bin"), params_));
-  context_->ResetCounters();
   // Read sizes chosen to straddle chunk boundaries in every alignment.
   std::string assembled;
   size_t sizes[] = {3000, 8192, 77, 9000, 1};
@@ -179,6 +196,14 @@ TEST_F(DavPosixTest, AsyncReadAheadSequentialDelivery) {
 TEST_F(DavPosixTest, AsyncReadAheadLSeekInvalidatesMidStream) {
   params_.readahead_bytes = 4096;
   params_.readahead_window_chunks = 4;
+  // A far seek straight after Open drops the window the open sent.
+  ASSERT_OK_AND_ASSIGN(int fresh,
+                       posix_->Open(server_.UrlFor("/f.bin"), params_));
+  ASSERT_OK(posix_->LSeek(fresh, 60'000, 0).status());
+  ASSERT_OK_AND_ASSIGN(std::string far, posix_->Read(fresh, 3000));
+  EXPECT_EQ(far, content_.substr(60'000, 3000));
+  ASSERT_OK(posix_->Close(fresh));
+
   ASSERT_OK_AND_ASSIGN(int fd,
                        posix_->Open(server_.UrlFor("/f.bin"), params_));
   ASSERT_OK_AND_ASSIGN(std::string a, posix_->Read(fd, 3000));
@@ -230,7 +255,8 @@ TEST_F(DavPosixTest, AsyncReadAheadMidStreamFaultSurfacesExactlyOnce) {
   params_.max_retries = 0;
   ASSERT_OK_AND_ASSIGN(int fd,
                        posix_->Open(server_.UrlFor("/f.bin"), params_));
-  // Armed after Open so the Stat HEAD is not the request that trips it.
+  // Armed after Open so none of the open's requests (the first window)
+  // trips it.
   server_.server->faults().AddRule(
       {"/f.bin", netsim::FaultAction::kTruncateBody, 1.0, 1, 0});
   std::string assembled;
@@ -283,6 +309,10 @@ TEST_F(DavPosixTest, AsyncReadAheadConcurrentReadAndPRead) {
 TEST_F(DavPosixTest, AsyncReadAheadCloseWithWindowInFlightIsClean) {
   params_.readahead_bytes = 2048;
   params_.readahead_window_chunks = 8;
+  // Open then Close with no Read: the window the open sent is in flight.
+  ASSERT_OK_AND_ASSIGN(int unread,
+                       posix_->Open(server_.UrlFor("/f.bin"), params_));
+  ASSERT_OK(posix_->Close(unread));
   ASSERT_OK_AND_ASSIGN(int fd,
                        posix_->Open(server_.UrlFor("/f.bin"), params_));
   // Prime the window, then close immediately: the in-flight fetches own
@@ -291,6 +321,109 @@ TEST_F(DavPosixTest, AsyncReadAheadCloseWithWindowInFlightIsClean) {
   EXPECT_EQ(head, content_.substr(0, 100));
   ASSERT_OK(posix_->Close(fd));
   EXPECT_EQ(posix_->OpenCount(), 0u);
+}
+
+TEST_F(DavPosixTest, AsyncReadAheadColdOpenSendsTheFirstWindow) {
+  // The open is the window's first W range-GETs, not a HEAD: open plus
+  // a full read of a 16-chunk object is exactly 16 requests.
+  constexpr uint64_t kChunk = 4096;
+  const std::string object = content_.substr(0, 16 * kChunk);
+  server_.store->Put("/16.bin", object);
+  params_.readahead_bytes = kChunk;
+  params_.readahead_window_chunks = 4;
+  const httpd::DavHandlerStats& stats = server_.handler->stats();
+  uint64_t gets = stats.get_requests.load();
+  uint64_t heads = stats.head_requests.load();
+  ASSERT_OK_AND_ASSIGN(int fd,
+                       posix_->Open(server_.UrlFor("/16.bin"), params_));
+  std::string assembled;
+  while (true) {
+    ASSERT_OK_AND_ASSIGN(std::string chunk, posix_->Read(fd, 3000));
+    if (chunk.empty()) break;
+    assembled += chunk;
+  }
+  EXPECT_EQ(assembled, object);
+  EXPECT_EQ(stats.get_requests.load() - gets, 16u);
+  EXPECT_EQ(stats.head_requests.load() - heads, 0u);
+  ASSERT_OK(posix_->Close(fd));
+}
+
+TEST_F(DavPosixTest, AsyncReadAheadColdOpenAtEverySizeAroundTheWindow) {
+  // Before the size is known the open plans W chunks; chunks past EOF
+  // are dropped and one straddling EOF is sent again, clamped. None of
+  // their 416s or short answers surfaces, and the waste is bounded.
+  constexpr uint64_t kChunk = 4096;
+  constexpr uint64_t kWindow = 4;
+  params_.readahead_bytes = kChunk;
+  params_.readahead_window_chunks = kWindow;
+  const httpd::DavHandlerStats& stats = server_.handler->stats();
+  for (uint64_t size :
+       {uint64_t{0}, uint64_t{1}, kChunk - 1, kChunk, kChunk + 1,
+        (kWindow - 1) * kChunk + 1, kWindow * kChunk - 1, kWindow * kChunk,
+        kWindow * kChunk + 1}) {
+    SCOPED_TRACE(size);
+    const std::string object = content_.substr(0, size);
+    server_.store->Put("/sized.bin", object);
+    uint64_t before = stats.get_requests.load() + stats.head_requests.load();
+    {
+      Context context;
+      DavPosix posix(&context);
+      ASSERT_OK_AND_ASSIGN(int fd,
+                           posix.Open(server_.UrlFor("/sized.bin"), params_));
+      std::string assembled;
+      while (true) {
+        ASSERT_OK_AND_ASSIGN(std::string chunk, posix.Read(fd, 3000));
+        if (chunk.empty()) break;
+        assembled += chunk;
+      }
+      EXPECT_EQ(assembled, object);
+      ASSERT_OK(posix.Close(fd));
+    }  // joins the dispatcher: every fetch the open sent is counted
+    uint64_t chunks = (size + kChunk - 1) / kChunk;
+    EXPECT_LE(stats.get_requests.load() + stats.head_requests.load() - before,
+              std::max<uint64_t>(chunks, 1) + kWindow - 1);
+  }
+}
+
+TEST_F(DavPosixTest, AsyncReadAheadColdOpenOnServerIgnoringRange) {
+  // A server that answers every range with the whole entity (200): the
+  // open takes the size from the body, and the window still delivers
+  // exact bytes, for an object longer than the window and one shorter.
+  auto router = std::make_shared<httpd::Router>();
+  const std::string small = content_.substr(0, 5'000);
+  for (const auto& [path, body] :
+       {std::pair<std::string, std::string>{"/whole", content_},
+        std::pair<std::string, std::string>{"/small", small}}) {
+    router->Handle(http::Method::kGet, path,
+                   [body = body](const http::HttpRequest&,
+                                 http::HttpResponse* response) {
+                     response->status_code = 200;
+                     response->body = body;
+                   });
+  }
+  ASSERT_OK_AND_ASSIGN(auto server, httpd::HttpServer::Start({}, router));
+  params_.readahead_bytes = 8192;
+  params_.readahead_window_chunks = 4;
+  for (const auto& [path, want] :
+       {std::pair<std::string, std::string>{"/whole", content_},
+        std::pair<std::string, std::string>{"/small", small}}) {
+    SCOPED_TRACE(path);
+    ASSERT_OK_AND_ASSIGN(int fd,
+                         posix_->Open(server->BaseUrl() + path, params_));
+    std::string assembled;
+    while (true) {
+      ASSERT_OK_AND_ASSIGN(std::string chunk, posix_->Read(fd, 3000));
+      if (chunk.empty()) break;
+      assembled += chunk;
+    }
+    EXPECT_EQ(assembled, want);
+    ASSERT_OK_AND_ASSIGN(uint64_t end, posix_->LSeek(fd, 0, 2));
+    EXPECT_EQ(end, want.size());
+    ASSERT_OK(posix_->Close(fd));
+  }
+  posix_.reset();
+  context_.reset();
+  server->Stop();
 }
 
 TEST_F(DavPosixTest, ReadAheadCorrectAcrossSeeks) {

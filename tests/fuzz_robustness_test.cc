@@ -266,6 +266,15 @@ TEST_P(MultipartFuzzTest, CorruptBodiesNeverCrash) {
   }
   std::string boundary = http::GenerateBoundary(parts, GetParam());
   std::string body = http::BuildMultipartBody(parts, boundary);
+  // Directed inputs: declared part lengths at the edges of uint64_t,
+  // which `pos + length` arithmetic would wrap (the first one used to
+  // loop forever).
+  for (const char* directed :
+       {"\r\n--B\r\nContent-Range: bytes 0-18446744073709551559/*\r\n\r\n",
+        "--B\r\nContent-Range: bytes 0-18446744073709551614/*\r\n\r\nxx",
+        "--B\r\nContent-Range: bytes 0-18446744073709551615/*\r\n\r\n"}) {
+    EXPECT_FALSE(http::ParseMultipartBody(directed, "B").ok()) << directed;
+  }
   for (int round = 0; round < 30; ++round) {
     std::string corrupted = Corrupt(body, &rng);
     Result<std::vector<http::BytesPart>> parsed =

@@ -167,7 +167,7 @@ TEST(RangeTest, ContentRangeRoundTrip) {
   ASSERT_OK_AND_ASSIGN(parsed, ParseContentRange("bytes 0-99/100"));
   EXPECT_EQ(parsed.total_size, 100u);
   for (const char* bad : {"bytes 0-99/50", "bytes 0-99/99", "bytes 5-5/5",
-                          "bytes 0-0/0"}) {
+                          "bytes 0-0/0", "bytes 0-18446744073709551615/*"}) {
     EXPECT_EQ(ParseContentRange(bad).status().code(),
               StatusCode::kInvalidArgument)
         << bad;
@@ -232,6 +232,14 @@ TEST(MultipartTest, RejectsMalformedBodies) {
       ParseMultipartBody(
           "--b\r\nContent-Range: bytes 0-9/100\r\n\r\nshort", "b")
           .ok());
+  // A declared length that wraps `pos + length` back to the body's start
+  // (2^64 - 56 bytes at offset 56 of a 56-byte body): rejected, not
+  // re-read forever.
+  EXPECT_FALSE(ParseMultipartBody(
+                   "\r\n--B\r\nContent-Range: bytes "
+                   "0-18446744073709551559/*\r\n\r\n",
+                   "B")
+                   .ok());
 }
 
 TEST(MultipartTest, EmptyPartsListYieldsClosingOnly) {

@@ -169,6 +169,13 @@ TEST(ReadAheadStreamTest, ShortFetchIsProtocolError) {
   Result<std::string> data = stream.Read(8192, 4000);
   ASSERT_FALSE(data.ok());
   EXPECT_EQ(data.status().code(), StatusCode::kProtocolError);
+  // An opener's head shorter than its front slot is the same error.
+  ReadAheadStream opened(object.Fetcher(), &pool, Config(4096, 2, 0));
+  opened.StartUnsized();
+  opened.FillFront(object.content.substr(0, 100), object.content.size());
+  data = opened.Read(0, 4000);
+  ASSERT_FALSE(data.ok());
+  EXPECT_EQ(data.status().code(), StatusCode::kProtocolError);
 }
 
 TEST(ReadAheadStreamTest, InvalidateCancelsUnstartedFetches) {
@@ -206,7 +213,10 @@ TEST(ReadAheadStreamTest, DestructionWithInFlightFetchesIsSafe) {
                            Config(8192, 4, object->content.size()));
     ASSERT_OK_AND_ASSIGN(std::string head, stream.Read(0, 10));
     EXPECT_EQ(head, object->content.substr(0, 10));
-    // Destroyed here with up to 3 fetches still in flight.
+    // An opener that failed drops its stream before FillFront.
+    ReadAheadStream unsized(fetch, &pool, Config(8192, 4, 0));
+    unsized.StartUnsized();
+    // Both destroyed here with up to 3 fetches each still in flight.
   }
   pool.Shutdown();
   SUCCEED();
@@ -247,6 +257,52 @@ TEST(ReadAheadStreamTest, ConsumerOnPoolThreadDoesNotDeadlock) {
   }
   pool.Shutdown();  // join the worker before cv/mu leave scope
   EXPECT_TRUE(correct.load());
+}
+
+TEST(ReadAheadStreamTest, UnsizedStartTrimsTheWindowToTheSize) {
+  // The opener fetches chunk 0 itself; chunks 1..W-1 go out before the
+  // size is known. FillFront drops the ones past EOF and re-sends the
+  // one straddling it, clamped, so no short or empty answer surfaces.
+  constexpr uint64_t kChunk = 4096;
+  constexpr size_t kWindow = 4;
+  for (uint64_t size :
+       {uint64_t{0}, uint64_t{1}, kChunk - 1, kChunk, kChunk + 1,
+        (kWindow - 1) * kChunk + 1, kWindow * kChunk - 1, kWindow * kChunk,
+        kWindow * kChunk + 1, 3 * kWindow * kChunk}) {
+    SCOPED_TRACE(size);
+    FakeObject object(size);
+    std::atomic<int> front_fetches{0};
+    ReadAheadFetchFn fetcher = object.Fetcher();
+    ThreadPool pool(4);
+    {
+      ReadAheadStream stream(
+          [&](uint64_t offset, uint64_t length) {
+            if (offset == 0) front_fetches.fetch_add(1);
+            return fetcher(offset, length);
+          },
+          &pool, Config(kChunk, kWindow, 0));
+      stream.StartUnsized();
+      EXPECT_EQ(stream.WindowSize(), kWindow);
+      stream.FillFront(object.content.substr(0, kChunk), size);
+      uint64_t chunks = (size + kChunk - 1) / kChunk;
+      EXPECT_EQ(stream.WindowSize(), std::min<uint64_t>(chunks, kWindow));
+      std::string assembled;
+      while (true) {
+        ASSERT_OK_AND_ASSIGN(std::string data,
+                             stream.Read(assembled.size(), 3000));
+        if (data.empty()) break;
+        assembled += data;
+      }
+      EXPECT_EQ(assembled, object.content);
+      pool.Shutdown();
+      // Chunk 0 is never fetched by the stream; every other chunk once,
+      // plus at most W - 1 planned before the size was known.
+      EXPECT_EQ(front_fetches.load(), 0);
+      EXPECT_LE(object.fetches.load(),
+                static_cast<int>(std::max<uint64_t>(chunks, 1) - 1 +
+                                 kWindow - 1));
+    }
+  }
 }
 
 TEST(ReadAheadStreamTest, CoversReportsWindowSpan) {

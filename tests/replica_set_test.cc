@@ -405,6 +405,15 @@ TEST_F(ReplicaSetTest, DavPosixWindowedReadFailsOverMidStream) {
   params_.readahead_window_chunks = 3;
   DavPosix posix(context_.get());
   ASSERT_OK_AND_ASSIGN(int fd, posix.Open(PrimaryUrl(), params_));
+  // With a resolved set the open stays one HEAD, which anchors the set's
+  // generation before any chunk is admitted; no chunk went out with it.
+  uint64_t heads = 0, gets = 0;
+  for (TestStorageServer& replica : replicas_) {
+    heads += replica.handler->stats().head_requests.load();
+    gets += replica.handler->stats().get_requests.load();
+  }
+  EXPECT_EQ(heads, 1u);
+  EXPECT_EQ(gets, 0u);
 
   std::string assembled;
   while (assembled.size() < content_.size() / 4) {
