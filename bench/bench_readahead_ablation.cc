@@ -4,7 +4,9 @@
 // the number of network round trips executed."
 //
 // Ablation A: xrootd sequential read of a 16 MiB object at WAN with
-// sliding-window sizes 0 (pure synchronous) to 8 chunks in flight.
+// sliding-window sizes 0 (pure synchronous: each chunk is fetched by the
+// read that needs it) to 8 chunks in flight. The window is the davix
+// one, core::ReadAheadStream, fetching through XrdClient::Read.
 // Ablation B: the davix side — sequential DavPosix reads with the
 // synchronous read-ahead buffer (depth 0 of the window: cuts request
 // count but stalls a full RTT per refill) versus the asynchronous
@@ -23,9 +25,10 @@
 #include "common/checksum.h"
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/context.h"
 #include "core/dav_posix.h"
-#include "xrootd/readahead.h"
+#include "core/read_ahead_stream.h"
 #include "xrootd/xrd_client.h"
 
 namespace davix {
@@ -119,21 +122,39 @@ RunOutcome RunXrdWindow(const netsim::LinkProfile& link,
                         std::shared_ptr<httpd::ObjectStore> store,
                         size_t window_chunks, uint32_t crc, uint64_t bytes) {
   auto server = StartXrdNode(link, store);
+  // The davix window over XrdClient::Read: W pool threads keep W reads
+  // outstanding on the one connection; W = 0 fetches on this thread.
+  std::unique_ptr<ThreadPool> pool;
+  if (window_chunks > 0) pool = std::make_unique<ThreadPool>(window_chunks);
   Stopwatch stopwatch;
   auto client = std::move(xrootd::XrdClient::Connect("127.0.0.1", server->port())).value();
   if (!client->Login().ok()) std::exit(1);
   auto open = client->Open(kPath);
   if (!open.ok()) std::exit(1);
 
-  xrootd::ReadAheadConfig config;
+  core::ReadAheadStreamConfig config;
   config.chunk_bytes = kChunkBytes;
   config.window_chunks = window_chunks;
-  xrootd::XrdReadAheadStream stream(client.get(), open->handle, open->size,
-                                    config);
+  config.file_size = open->size;
+  xrootd::XrdClient* reader = client.get();
+  uint32_t handle = open->handle;
+  core::ReadAheadStream stream(
+      [reader, handle](uint64_t offset, uint64_t length) {
+        return reader->Read(handle, offset, static_cast<uint32_t>(length));
+      },
+      pool.get(), config);
+  uint64_t position = 0;
   RunOutcome outcome = Consume(
-      stopwatch, [&] { return stream.Read(kConsumeChunk); }, crc, bytes);
+      stopwatch,
+      [&]() -> Result<std::string> {
+        Result<std::string> chunk = stream.Read(position, kConsumeChunk);
+        if (chunk.ok()) position += chunk->size();
+        return chunk;
+      },
+      crc, bytes);
   // Counted from Connect: login and open included.
   outcome.requests = client->requests_sent();
+  pool.reset();  // joins while the client its fetches read through lives
   server->Stop();
   return outcome;
 }

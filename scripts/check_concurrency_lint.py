@@ -5,7 +5,9 @@ Seven rules, enforced with nothing but the standard library:
 
   1. no raw `std::thread` under src/ outside the allowlisted files that
      implement the threading substrate itself (ThreadPool) or a
-     documented thread-per-connection / reader-loop design;
+     documented thread-per-connection / reader-loop design (the one
+     client reader loop is net/demux_connection.{h,cc}, under both
+     multiplexed clients);
   2. no `.detach()` anywhere — every thread is joined by an owner;
   3. no `std::mutex` / `std::lock_guard` / `std::unique_lock` /
      `std::condition_variable` under src/ outside common/mutex.h: all
@@ -30,12 +32,15 @@ Seven rules, enforced with nothing but the standard library:
      server.cc may construct exactly one (the reactor). A second thread
      in that directory means somebody is sharing ServerConnection
      across threads again;
-  7. mux frame writes are serialized: in src/muxhttp/ and
-     src/core/mux_transport.{h,cc} a raw `socket->WriteAll(...)` may
+  7. multiplexed frame writes are serialized: in src/muxhttp/,
+     src/net/demux_connection.{h,cc}, src/core/mux_transport.{h,cc} and
+     src/xrootd/xrd_client.{h,cc} a raw `socket->WriteAll(...)` may
      appear only inside a helper named `*Locked` whose declaration (in
      the same file or its .h/.cc sibling) carries a REQUIRES(...)
      capability annotation.  Frames from concurrent streams interleave
      on one connection, so an unguarded write tears frames mid-header.
+     On the client side the one such helper is DemuxConnection's, so
+     both protocol layers send through it.
 
 Exit status 0 = clean, 1 = violations (listed on stderr).
 """
@@ -55,12 +60,10 @@ ALLOWED_STD_THREAD = {
     "src/httpd/server.cc",
     "src/muxhttp/mux.h",           # accept + per-connection threads
     "src/muxhttp/mux.cc",
-    "src/core/mux_transport.h",    # mux client demux reader loop
-    "src/core/mux_transport.cc",
+    "src/net/demux_connection.h",  # the client reader loop (mux, xrd)
+    "src/net/demux_connection.cc",
     "src/xrootd/xrd_server.h",     # thread-per-connection
     "src/xrootd/xrd_server.cc",
-    "src/xrootd/xrd_client.h",     # client reader loop
-    "src/xrootd/xrd_client.cc",
 }
 
 RAW_LOCKING_RE = re.compile(
@@ -77,9 +80,10 @@ ALLOWED_CORE_SLEEP = {"src/core/resilience.cc"}
 DISPATCH_RE = re.compile(
     r"\b(?:Submit|ParallelFor|ParallelForCancellable|"
     r"ReadAheadStream\s+\w+|std::make_unique<ReadAheadStream>)\s*\(")
-# Rule 7: files whose socket writes carry interleaved mux frames.
+# Rule 7: files whose socket writes carry interleaved frames.
 MUX_WRITE_FILES_RE = re.compile(
-    r"^src/(muxhttp/|core/mux_transport\.(h|cc)$)")
+    r"^src/(muxhttp/|(net/demux_connection|core/mux_transport|"
+    r"xrootd/xrd_client)\.(h|cc)$)")
 WRITE_ALL_RE = re.compile(r"\bWriteAll\s*\(")
 MUTATION_RE = re.compile(
     r"(?:\+\+|--)\s*([A-Za-z_]\w*)\b|\b([A-Za-z_]\w*)\s*(?:\+\+|--|\+=|-=)")
@@ -274,7 +278,7 @@ def declares_requires(text, name):
 
 
 def check_mux_writes(rel, text):
-    """Rule 7: WriteAll in mux frame code only inside annotated *Locked
+    """Rule 7: WriteAll in frame code only inside annotated *Locked
     helpers. Returns (problems, used_names) — REQUIRES presence is
     checked by the caller against the .h/.cc sibling pair."""
     problems = []
@@ -288,7 +292,7 @@ def check_mux_writes(rel, text):
         else:
             problems.append(
                 (rel, line_of(text, m.start()),
-                 "raw WriteAll outside a *Locked helper — mux frames from "
+                 "raw WriteAll outside a *Locked helper — frames from "
                  "concurrent streams share one socket; route every write "
                  "through a REQUIRES-annotated *Locked function"))
     return problems, used_names
@@ -372,7 +376,7 @@ def main() -> int:
                     if not declares_requires(combined, name):
                         problems.append(
                             (rel, 1,
-                             f"mux write helper '{name}' has no "
+                             f"frame write helper '{name}' has no "
                              "REQUIRES(...) annotation on any declaration "
                              "— the write mutex must be a declared "
                              "capability so Clang checks the callers"))

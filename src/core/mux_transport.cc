@@ -1,12 +1,7 @@
 #include "core/mux_transport.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
-
-#include "common/clock.h"
-#include "common/logging.h"
-#include "net/socket_address.h"
+#include <chrono>
 
 namespace davix {
 namespace core {
@@ -18,9 +13,6 @@ constexpr size_t kDefaultMaxStreamsPerConnection = 64;
 // Backpressure re-check interval: waiters are notified on every
 // completed exchange, the poll only covers lost wakeups.
 constexpr int64_t kBackpressurePollMicros = 5'000;
-// Completion re-check interval of a waiting requester (covers clock
-// progress toward its deadline; real completions notify immediately).
-constexpr int64_t kWaiterPollMicros = 50'000;
 
 }  // namespace
 
@@ -29,206 +21,110 @@ constexpr int64_t kWaiterPollMicros = 50'000;
 Result<std::shared_ptr<MuxConnection>> MuxConnection::Connect(
     const Uri& url, const RequestParams& params) {
   DAVIX_ASSIGN_OR_RETURN(
-      net::SocketAddress address,
-      net::SocketAddress::Resolve(url.host(), url.port()));
-  int64_t connect_timeout =
-      params.deadline.CapTimeout(params.connect_timeout_micros);
-  DAVIX_ASSIGN_OR_RETURN(net::TcpSocket socket,
-                         net::TcpSocket::Connect(address, connect_timeout));
-  (void)socket.SetNoDelay(true);
+      net::TcpSocket socket,
+      net::DialNoDelay(url.host(), url.port(),
+                       params.deadline.CapTimeout(params.connect_timeout_micros)));
   std::shared_ptr<MuxConnection> conn(new MuxConnection());
-  conn->socket_ = std::make_unique<net::TcpSocket>(std::move(socket));
   // No per-read timeout on the shared reader: response pacing is each
   // requester's business (its own deadline-bounded wait), and a stuck
   // connection is unwedged by Shutdown closing the socket.
-  conn->reader_ = std::make_unique<net::BufferedReader>(conn->socket_.get());
-  conn->alive_.store(true, std::memory_order_release);
-  conn->reader_thread_ = std::thread([c = conn.get()] { c->ReaderLoop(); });
+  conn->connection_ = std::make_unique<Demux>(
+      std::move(socket), 0, UINT32_MAX,
+      [c = conn.get()](net::BufferedReader* reader) {
+        return c->ReadResponse(reader);
+      });
   return conn;
 }
 
-MuxConnection::~MuxConnection() {
-  Shutdown(Status::Cancelled("mux connection closed"));
-  if (reader_thread_.joinable()) reader_thread_.join();
+Result<std::optional<MuxConnection::Demux::Delivery>>
+MuxConnection::ReadResponse(net::BufferedReader* reader) {
+  Result<muxhttp::MuxFrame> frame = muxhttp::ReadMuxFrame(reader);
+  if (!frame.ok()) {
+    return Status::ConnectionReset("mux connection lost: " +
+                                   frame.status().message());
+  }
+  Result<std::optional<muxhttp::MuxStreamAssembler::Event>> event =
+      [this, &frame] {
+        MutexLock lock(demux_mu_);
+        return assembler_.OnFrame(std::move(*frame));
+      }();
+  if (!event.ok()) {
+    // Connection-fatal violation: framing sync is gone, every stream
+    // dies retryably and the socket is closed so the server notices.
+    return Status::ConnectionReset("mux protocol violation: " +
+                                   event.status().message());
+  }
+  if (!event->has_value()) return std::optional<Demux::Delivery>();
+  muxhttp::MuxStreamAssembler::Event& ev = **event;
+  if (ev.response.has_value()) {
+    return std::optional<Demux::Delivery>(
+        Demux::Delivery{ev.stream_id, std::move(*ev.response)});
+  }
+  return std::optional<Demux::Delivery>(Demux::Delivery{
+      ev.stream_id,
+      ev.stream_error.value_or(
+          Status::Internal("mux event carried no response"))});
 }
 
-void MuxConnection::Shutdown(const Status& reason) {
-  stopping_.store(true, std::memory_order_relaxed);
-  if (socket_ != nullptr && socket_->IsOpen()) {
-    ::shutdown(socket_->fd(), SHUT_RDWR);
-  }
-  FailAll(reason);
-}
-
-void MuxConnection::FailAll(const Status& reason) {
-  alive_.store(false, std::memory_order_release);
-  MutexLock lock(mu_);
-  for (auto& [id, waiter] : pending_) {
-    if (!waiter->done) {
-      waiter->status = reason;
-      waiter->done = true;
-    }
-  }
-  pending_.clear();
-  cv_.NotifyAll();
-}
-
-Status MuxConnection::WriteFramesLocked(
-    const std::vector<muxhttp::MuxFrame>& frames) {
-  if (write_broken_) {
-    return Status::ConnectionReset("mux write side broken");
-  }
-  for (const muxhttp::MuxFrame& frame : frames) {
-    Status status = socket_->WriteAll(muxhttp::SerializeMuxFrame(frame));
-    if (!status.ok()) {
-      write_broken_ = true;
-      return status;
-    }
-  }
-  return Status::OK();
-}
-
-uint32_t MuxConnection::TryBeginStream(size_t max_streams,
-                                       bool head_request) {
-  if (max_streams == 0) max_streams = 1;
-  uint32_t id = 0;
-  {
-    MutexLock lock(mu_);
-    if (!alive_.load(std::memory_order_relaxed)) return 0;
-    if (active_.load(std::memory_order_relaxed) >= max_streams) return 0;
-    id = next_stream_id_++;
-    if (next_stream_id_ == 0) next_stream_id_ = 1;
-    pending_.emplace(id, std::make_shared<Waiter>());
-    active_.fetch_add(1, std::memory_order_relaxed);
-  }
-  MutexLock demux_lock(demux_mu_);
-  assembler_.ExpectStream(id, head_request);
-  return id;
+MuxConnection::Stream MuxConnection::TryBeginStream(size_t max_streams,
+                                                    bool head_request) {
+  auto promise =
+      std::make_shared<std::promise<Result<http::HttpResponse>>>();
+  Stream stream;
+  stream.id = connection_->Begin(
+      [promise](Result<http::HttpResponse> response) {
+        promise->set_value(std::move(response));
+      },
+      std::max<size_t>(max_streams, 1));
+  if (stream.id == 0) return stream;
+  stream.response = promise->get_future();
+  MutexLock lock(demux_mu_);
+  assembler_.ExpectStream(stream.id, head_request);
+  return stream;
 }
 
 Result<http::HttpResponse> MuxConnection::FinishExchange(
-    uint32_t stream_id, const http::HttpRequest& request,
+    Stream stream, const http::HttpRequest& request,
     const RequestParams& params, MuxTransportStats* stats) {
-  std::shared_ptr<Waiter> waiter;
-  {
-    MutexLock lock(mu_);
-    auto it = pending_.find(stream_id);
-    if (it == pending_.end()) {
-      // The connection died between TryBeginStream and here; the slot
-      // was already failed by FailAll.
-      active_.fetch_sub(1, std::memory_order_relaxed);
-      return Status::ConnectionReset("mux connection lost before send");
-    }
-    waiter = it->second;
+  std::vector<std::string> wire;
+  for (const muxhttp::MuxFrame& frame : muxhttp::FrameMessage(
+           stream.id, request.SerializeHead(request.body.size()),
+           request.body)) {
+    wire.push_back(muxhttp::SerializeMuxFrame(frame));
   }
-
-  std::vector<muxhttp::MuxFrame> frames = muxhttp::FrameMessage(
-      stream_id, request.SerializeHead(request.body.size()), request.body);
-  Status write_status;
-  {
-    MutexLock lock(write_mu_);
-    write_status = WriteFramesLocked(frames);
-  }
-  if (!write_status.ok()) {
-    // Fails our own waiter too, so the wait below returns immediately.
-    FailAll(Status::ConnectionReset("mux send failed: " +
-                                    write_status.message()));
-  }
+  // A failed send fails every stream on the connection, this one too.
+  (void)connection_->Send(wire);
 
   int64_t budget = params.deadline.CapTimeout(params.operation_timeout_micros);
-  int64_t wait_deadline = budget > 0 ? MonotonicMicros() + budget : 0;
-  bool done = false;
-  {
-    MutexLock lock(mu_);
-    while (!waiter->done) {
-      int64_t remaining = kWaiterPollMicros;
-      if (wait_deadline > 0) {
-        remaining = wait_deadline - MonotonicMicros();
-        if (remaining <= 0) break;
-        remaining = std::min(remaining, kWaiterPollMicros);
-      }
-      (void)cv_.WaitFor(mu_, remaining,
-                        [&waiter]() { return waiter->done; });
-    }
-    done = waiter->done;
-    if (!done) pending_.erase(stream_id);
-  }
-  active_.fetch_sub(1, std::memory_order_relaxed);
-
-  if (!done) {
-    // Deadline expired mid-stream: release the demux slot first so a
-    // response racing in is dropped, then tell the server to stop
-    // streaming (best effort).
+  if (budget > 0 &&
+      stream.response.wait_for(std::chrono::microseconds(budget)) ==
+          std::future_status::timeout &&
+      connection_->Cancel(stream.id)) {
+    // Deadline expired mid-stream and the response is ours to drop:
+    // release the demux slot first so frames racing in are dropped, then
+    // tell the server to stop streaming (best effort).
     {
       MutexLock lock(demux_mu_);
-      assembler_.Forget(stream_id);
+      assembler_.Forget(stream.id);
     }
-    muxhttp::MuxFrame rst;
-    rst.stream_id = stream_id;
-    rst.type = muxhttp::MuxFrameType::kRst;
-    rst.payload = muxhttp::MakeRstPayload(muxhttp::MuxRstCode::kCancelled,
-                                          "deadline expired");
-    {
-      MutexLock lock(write_mu_);
-      (void)WriteFramesLocked({rst});
-    }
+    std::string rst = muxhttp::SerializeMuxFrame(
+        stream.id, muxhttp::MuxFrameType::kRst, 0,
+        muxhttp::MakeRstPayload(muxhttp::MuxRstCode::kCancelled,
+                                "deadline expired"));
+    (void)connection_->Send({&rst, 1});
     if (stats != nullptr) {
       stats->streams_reset.fetch_add(1, std::memory_order_relaxed);
     }
     return Status::Timeout("mux response deadline exceeded on stream " +
-                           std::to_string(stream_id));
+                           std::to_string(stream.id));
   }
-  if (!waiter->status.ok()) {
-    if (stats != nullptr) {
-      stats->streams_reset.fetch_add(1, std::memory_order_relaxed);
-    }
-    return waiter->status;
+  // Either no budget, or the reader claimed the stream before Cancel
+  // could: its one outcome is already set or about to be.
+  Result<http::HttpResponse> response = stream.response.get();
+  if (!response.ok() && stats != nullptr) {
+    stats->streams_reset.fetch_add(1, std::memory_order_relaxed);
   }
-  return std::move(waiter->response);
-}
-
-void MuxConnection::ReaderLoop() {
-  while (true) {
-    Result<muxhttp::MuxFrame> frame = muxhttp::ReadMuxFrame(reader_.get());
-    if (!frame.ok()) {
-      if (!stopping_.load(std::memory_order_relaxed)) {
-        FailAll(Status::ConnectionReset("mux connection lost: " +
-                                        frame.status().message()));
-      }
-      return;
-    }
-    Result<std::optional<muxhttp::MuxStreamAssembler::Event>> event =
-        [this, &frame] {
-          MutexLock lock(demux_mu_);
-          return assembler_.OnFrame(std::move(*frame));
-        }();
-    if (!event.ok()) {
-      // Connection-fatal violation: framing sync is gone, every stream
-      // dies retryably and the socket is closed so the server notices.
-      DAVIX_LOG(kDebug) << "mux connection torn down: "
-                        << event.status().ToString();
-      if (socket_->IsOpen()) ::shutdown(socket_->fd(), SHUT_RDWR);
-      FailAll(Status::ConnectionReset("mux protocol violation: " +
-                                      event.status().message()));
-      return;
-    }
-    if (!event->has_value()) continue;
-    muxhttp::MuxStreamAssembler::Event& ev = **event;
-    MutexLock lock(mu_);
-    auto it = pending_.find(ev.stream_id);
-    if (it == pending_.end()) continue;  // locally cancelled; drop
-    std::shared_ptr<Waiter> waiter = std::move(it->second);
-    pending_.erase(it);
-    if (ev.stream_error.has_value()) {
-      waiter->status = *ev.stream_error;
-    } else if (ev.response.has_value()) {
-      waiter->response = std::move(*ev.response);
-    } else {
-      waiter->status = Status::Internal("mux event carried no response");
-    }
-    waiter->done = true;
-    cv_.NotifyAll();
-  }
+  return response;
 }
 
 // ----------------------------------------------------------- MuxTransport
@@ -284,7 +180,7 @@ Result<http::HttpResponse> MuxTransport::Execute(
 
   while (true) {
     std::shared_ptr<MuxConnection> conn;
-    uint32_t stream_id = 0;
+    MuxConnection::Stream stream;
     bool should_connect = false;
     {
       MutexLock lock(mu_);
@@ -308,8 +204,8 @@ Result<http::HttpResponse> MuxTransport::Execute(
         }
       }
       if (best != nullptr) {
-        stream_id = best->TryBeginStream(max_streams, head_request);
-        if (stream_id != 0) conn = best;
+        stream = best->TryBeginStream(max_streams, head_request);
+        if (stream.id != 0) conn = best;
       }
       if (conn == nullptr) {
         if (conns.size() + bucket.connecting < max_connections) {
@@ -361,13 +257,13 @@ Result<http::HttpResponse> MuxTransport::Execute(
       conn = *attempt;
       bucket.connections.push_back(conn);
       stats_.connections_opened.fetch_add(1, std::memory_order_relaxed);
-      stream_id = conn->TryBeginStream(max_streams, head_request);
-      if (stream_id == 0) continue;  // raced to saturation; go around
+      stream = conn->TryBeginStream(max_streams, head_request);
+      if (stream.id == 0) continue;  // raced to saturation; go around
     }
 
     stats_.streams_opened.fetch_add(1, std::memory_order_relaxed);
     Result<http::HttpResponse> result =
-        conn->FinishExchange(stream_id, request, params, &stats_);
+        conn->FinishExchange(std::move(stream), request, params, &stats_);
     // A completed exchange frees a stream slot: wake backpressure
     // waiters.
     cv_.NotifyAll();

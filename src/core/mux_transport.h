@@ -3,9 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -15,8 +16,7 @@
 #include "core/request_params.h"
 #include "http/message.h"
 #include "muxhttp/frame.h"
-#include "net/buffered_reader.h"
-#include "net/tcp_socket.h"
+#include "net/demux_connection.h"
 
 namespace davix {
 namespace core {
@@ -38,14 +38,15 @@ struct MuxTransportStats {
 };
 
 /// One framed client connection carrying many concurrent streams
-/// (muxhttp/frame.h). A dedicated reader thread demultiplexes response
-/// frames into per-stream waiters; requesters block on a condition
-/// variable until their stream completes, fails, or their deadline
-/// expires (expiry sends RST kCancelled so the server stops streaming).
+/// (muxhttp/frame.h): the mux protocol over net::DemuxConnection, which
+/// owns the socket, the reader thread and the streams in flight. Frames
+/// read are fed to a MuxStreamAssembler; each requester waits on its own
+/// stream's completion until the response arrives, the stream fails, or
+/// its deadline expires (expiry sends RST kCancelled so the server stops
+/// streaming).
 ///
 /// Thread-safe: yes — any number of threads may run exchanges
-/// concurrently. Lock order: mu_, demux_mu_ and write_mu_ are all leaf
-/// locks; no code path holds two of them at once.
+/// concurrently. demux_mu_ is a leaf lock.
 class MuxConnection {
  public:
   /// Connects to `url`'s host (connect timeout from `params`, capped by
@@ -53,64 +54,47 @@ class MuxConnection {
   static Result<std::shared_ptr<MuxConnection>> Connect(
       const Uri& url, const RequestParams& params);
 
-  ~MuxConnection();
-
   MuxConnection(const MuxConnection&) = delete;
   MuxConnection& operator=(const MuxConnection&) = delete;
 
-  /// Reserves a stream slot and allocates its id. Returns 0 (never a
-  /// valid id) when the connection is dead or already carries
-  /// `max_streams` exchanges — the caller then tries another connection
-  /// or waits. A reserved slot MUST be consumed by FinishExchange.
-  uint32_t TryBeginStream(size_t max_streams, bool head_request);
+  /// A reserved stream slot: its id, and the response it resolves to.
+  struct Stream {
+    /// 0 (never a valid id): no slot was reserved.
+    uint32_t id = 0;
+    std::future<Result<http::HttpResponse>> response;
+  };
 
-  /// Sends `request` on stream `stream_id` (from TryBeginStream) and
-  /// blocks until the response arrives, the stream fails, or the wait
-  /// budget — operation_timeout_micros capped by the armed deadline —
-  /// runs out. Expiry cancels the stream on the wire (RST kCancelled)
-  /// and returns kTimeout. Connection loss fails with a retryable
-  /// kConnectionReset.
-  Result<http::HttpResponse> FinishExchange(uint32_t stream_id,
+  /// Reserves a stream slot and allocates its id. Returns id 0 when the
+  /// connection is dead or already carries `max_streams` exchanges — the
+  /// caller then tries another connection or waits. A reserved slot MUST
+  /// be consumed by FinishExchange.
+  Stream TryBeginStream(size_t max_streams, bool head_request);
+
+  /// Sends `request` on `stream` (from TryBeginStream) and blocks until
+  /// the response arrives, the stream fails, or the wait budget —
+  /// operation_timeout_micros capped by the armed deadline — runs out.
+  /// Expiry cancels the stream on the wire (RST kCancelled) and returns
+  /// kTimeout. Connection loss fails with a retryable kConnectionReset.
+  Result<http::HttpResponse> FinishExchange(Stream stream,
                                             const http::HttpRequest& request,
                                             const RequestParams& params,
                                             MuxTransportStats* stats);
 
-  bool alive() const { return alive_.load(std::memory_order_acquire); }
-  size_t active_streams() const {
-    return active_.load(std::memory_order_relaxed);
-  }
+  bool alive() const { return connection_->alive(); }
+  size_t active_streams() const { return connection_->in_flight(); }
 
   /// Fails every in-flight stream and closes the socket. Idempotent.
-  void Shutdown(const Status& reason);
+  void Shutdown(const Status& reason) { connection_->Shutdown(reason); }
 
  private:
+  using Demux = net::DemuxConnection<http::HttpResponse>;
+
   MuxConnection() = default;
 
-  void ReaderLoop();
-  /// Marks the connection dead and completes every waiter with
-  /// `reason`. Safe from any thread.
-  void FailAll(const Status& reason);
-
-  /// One in-flight exchange; requester and reader share it by
-  /// shared_ptr so completion survives a timed-out requester leaving.
-  struct Waiter {
-    bool done = false;
-    Status status;
-    http::HttpResponse response;
-  };
-
-  std::unique_ptr<net::TcpSocket> socket_;
-  std::unique_ptr<net::BufferedReader> reader_;
-  std::thread reader_thread_;
-  std::atomic<bool> alive_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<uint64_t> active_{0};
-
-  Mutex mu_;
-  CondVar cv_;
-  std::unordered_map<uint32_t, std::shared_ptr<Waiter>> pending_
-      GUARDED_BY(mu_);
-  uint32_t next_stream_id_ GUARDED_BY(mu_) = 1;
+  /// The connection's ReadFn: reads one frame and feeds it to the
+  /// assembler.
+  Result<std::optional<Demux::Delivery>> ReadResponse(
+      net::BufferedReader* reader);
 
   /// The demux state machine, fed by the reader and registered into by
   /// requesters (ExpectStream / Forget).
@@ -118,11 +102,9 @@ class MuxConnection {
   muxhttp::MuxStreamAssembler assembler_ GUARDED_BY(demux_mu_){
       muxhttp::MuxStreamAssembler::Mode::kResponse};
 
-  Mutex write_mu_;
-  bool write_broken_ GUARDED_BY(write_mu_) = false;
-  /// The only place client mux code writes to the socket.
-  Status WriteFramesLocked(const std::vector<muxhttp::MuxFrame>& frames)
-      REQUIRES(write_mu_);
+  /// Declared last, so it is destroyed (its reader joined) before the
+  /// assembler that reader feeds.
+  std::unique_ptr<Demux> connection_;
 };
 
 /// The client-side mux transport: per-host buckets of a few shared

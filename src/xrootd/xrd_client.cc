@@ -1,172 +1,125 @@
 #include "xrootd/xrd_client.h"
 
-#include <sys/socket.h>
-
-#include "common/logging.h"
-#include "net/socket_address.h"
+#include <optional>
+#include <utility>
 
 namespace davix {
 namespace xrootd {
 
-XrdClient::XrdClient(XrdClientConfig config) : config_(config) {}
+namespace {
+
+using Demux = net::DemuxConnection<Frame>;
+
+/// The mapping from response status to Status: an error frame resolves
+/// its stream with the matching error.
+Result<Frame> Checked(Frame frame) {
+  switch (static_cast<RespStatus>(frame.header.opcode)) {
+    case RespStatus::kOk:
+      return frame;
+    case RespStatus::kNotFound:
+      return Status::NotFound(frame.payload);
+    case RespStatus::kBadRequest:
+      return Status::InvalidArgument(frame.payload);
+    default:
+      return Status::RemoteError(frame.payload);
+  }
+}
+
+/// The connection's ReadFn: every response frame completes its stream.
+Result<std::optional<Demux::Delivery>> ReadResponse(
+    net::BufferedReader* reader) {
+  Result<Frame> frame = ReadFrame(reader);
+  if (!frame.ok()) return frame.status().WithContext("xrd connection lost");
+  uint32_t stream_id = frame->header.stream_id;
+  return std::optional<Demux::Delivery>(
+      Demux::Delivery{stream_id, Checked(std::move(*frame))});
+}
+
+Result<std::string> PayloadOf(Frame frame) { return std::move(frame.payload); }
+
+Result<OpenInfo> OpenInfoOf(Frame frame) {
+  if (frame.payload.size() != 8) {
+    return Status::ProtocolError("bad open response payload");
+  }
+  OpenInfo info;
+  info.handle = static_cast<uint32_t>(frame.header.arg);
+  info.size = ReadU64(frame.payload.data());
+  return info;
+}
+
+Result<uint64_t> SizeOf(Frame frame) {
+  if (frame.payload.size() != 8) {
+    return Status::ProtocolError("bad stat response payload");
+  }
+  return ReadU64(frame.payload.data());
+}
+
+}  // namespace
 
 Result<std::unique_ptr<XrdClient>> XrdClient::Connect(const std::string& host,
                                                       uint16_t port,
                                                       XrdClientConfig config) {
-  DAVIX_ASSIGN_OR_RETURN(net::SocketAddress address,
-                         net::SocketAddress::Resolve(host, port));
   DAVIX_ASSIGN_OR_RETURN(
       net::TcpSocket socket,
-      net::TcpSocket::Connect(address, config.connect_timeout_micros));
-  (void)socket.SetNoDelay(true);
-
-  std::unique_ptr<XrdClient> client(new XrdClient(config));
-  client->socket_ = std::make_unique<net::TcpSocket>(std::move(socket));
-  client->reader_ = std::make_unique<net::BufferedReader>(
-      client->socket_.get(), config.operation_timeout_micros);
-  client->alive_.store(true, std::memory_order_relaxed);
-  client->reader_thread_ = std::thread([c = client.get()] { c->ReaderLoop(); });
+      net::DialNoDelay(host, port, config.connect_timeout_micros));
+  std::unique_ptr<XrdClient> client(new XrdClient());
+  client->connection_ = std::make_unique<Demux>(
+      std::move(socket), config.operation_timeout_micros, UINT16_MAX,
+      ReadResponse);
   return client;
 }
 
-XrdClient::~XrdClient() {
-  stopping_.store(true, std::memory_order_relaxed);
-  if (socket_ != nullptr && socket_->IsOpen()) {
-    ::shutdown(socket_->fd(), SHUT_RDWR);
-  }
-  if (reader_thread_.joinable()) reader_thread_.join();
-  FailAll(Status::Cancelled("client destroyed"));
-}
-
-void XrdClient::ReaderLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    Result<Frame> frame = ReadFrame(reader_.get());
-    if (!frame.ok()) {
-      if (!stopping_.load(std::memory_order_relaxed)) {
-        FailAll(frame.status().WithContext("xrd connection lost"));
-      }
-      return;
-    }
-    Pending pending;
-    bool found = false;
-    {
-      MutexLock lock(mu_);
-      auto it = pending_.find(frame->header.stream_id);
-      if (it != pending_.end()) {
-        pending = std::move(it->second);
-        pending_.erase(it);
-        found = true;
-      }
-    }
-    if (!found) {
-      DAVIX_LOG(kWarn) << "xrd response for unknown stream "
-                       << frame->header.stream_id;
-      continue;
-    }
-    if (pending.arg_out != nullptr) *pending.arg_out = frame->header.arg;
-    switch (static_cast<RespStatus>(frame->header.opcode)) {
-      case RespStatus::kOk:
-        pending.promise.set_value(std::move(frame->payload));
-        break;
-      case RespStatus::kNotFound:
-        pending.promise.set_value(Status::NotFound(frame->payload));
-        break;
-      case RespStatus::kBadRequest:
-        pending.promise.set_value(Status::InvalidArgument(frame->payload));
-        break;
-      default:
-        pending.promise.set_value(Status::RemoteError(frame->payload));
-        break;
-    }
-  }
-}
-
-void XrdClient::FailAll(const Status& status) {
-  alive_.store(false, std::memory_order_relaxed);
-  std::unordered_map<uint16_t, Pending> orphans;
-  {
-    MutexLock lock(mu_);
-    orphans.swap(pending_);
-  }
-  for (auto& [id, pending] : orphans) {
-    pending.promise.set_value(status);
-  }
-}
-
-std::future<Result<std::string>> XrdClient::Submit(Opcode opcode, uint64_t arg,
-                                                   std::string payload,
-                                                   uint64_t* arg_out) {
-  std::promise<Result<std::string>> failed;
-  if (!alive_.load(std::memory_order_relaxed)) {
-    failed.set_value(Status::ConnectionReset("xrd client not connected"));
-    return failed.get_future();
+template <typename T>
+std::future<Result<T>> XrdClient::Submit(Opcode opcode, uint64_t arg,
+                                         std::string payload,
+                                         Result<T> (*decode)(Frame frame)) {
+  auto promise = std::make_shared<std::promise<Result<T>>>();
+  std::future<Result<T>> future = promise->get_future();
+  uint32_t stream_id =
+      connection_->Begin([promise, decode](Result<Frame> frame) {
+        promise->set_value(frame.ok() ? decode(std::move(*frame))
+                                      : Result<T>(frame.status()));
+      });
+  if (stream_id == 0) {
+    promise->set_value(Status::ConnectionReset("xrd client not connected"));
+    return future;
   }
   FrameHeader header;
+  header.stream_id = static_cast<uint16_t>(stream_id);
   header.opcode = static_cast<uint16_t>(opcode);
   header.arg = arg;
-
-  std::future<Result<std::string>> future;
-  std::string wire;
-  {
-    MutexLock lock(mu_);
-    // Pick a free stream id (u16 wraps; skip ids still in flight).
-    while (pending_.count(next_stream_id_) > 0 || next_stream_id_ == 0) {
-      ++next_stream_id_;
-    }
-    header.stream_id = next_stream_id_++;
-    Pending pending;
-    pending.arg_out = arg_out;
-    future = pending.promise.get_future();
-    pending_.emplace(header.stream_id, std::move(pending));
-    wire = SerializeFrame(header, payload);
-
-    Status write_status = socket_->WriteAll(wire);
-    if (!write_status.ok()) {
-      auto it = pending_.find(header.stream_id);
-      Pending orphan = std::move(it->second);
-      pending_.erase(it);
-      orphan.promise.set_value(write_status.WithContext("xrd send"));
-      return future;
-    }
-    requests_sent_.fetch_add(1, std::memory_order_relaxed);
+  std::string wire = SerializeFrame(header, payload);
+  // Counted before the write, so a response can never overtake its
+  // count. A failed send resolves the future through the connection.
+  requests_sent_.fetch_add(1, std::memory_order_relaxed);
+  if (!connection_->Send({&wire, 1}).ok()) {
+    requests_sent_.fetch_sub(1, std::memory_order_relaxed);
   }
   return future;
 }
 
 Status XrdClient::Login() {
-  Result<std::string> response = Submit(Opcode::kLogin, 0, "", nullptr).get();
-  return response.ok() ? Status::OK() : response.status();
+  return Submit(Opcode::kLogin, 0, "", PayloadOf).get().status();
 }
 
 Result<OpenInfo> XrdClient::Open(const std::string& path) {
-  uint64_t handle_arg = 0;
-  Result<std::string> response =
-      Submit(Opcode::kOpen, 0, path, &handle_arg).get();
-  DAVIX_RETURN_IF_ERROR(response.status().WithContext("open " + path));
-  if (response->size() != 8) {
-    return Status::ProtocolError("bad open response payload");
-  }
-  OpenInfo info;
-  info.handle = static_cast<uint32_t>(handle_arg);
-  info.size = ReadU64(response->data());
+  Result<OpenInfo> info = Submit(Opcode::kOpen, 0, path, OpenInfoOf).get();
+  DAVIX_RETURN_IF_ERROR(info.status().WithContext("open " + path));
   return info;
 }
 
 Result<uint64_t> XrdClient::StatSize(const std::string& path) {
-  Result<std::string> response = Submit(Opcode::kStat, 0, path, nullptr).get();
-  DAVIX_RETURN_IF_ERROR(response.status().WithContext("stat " + path));
-  if (response->size() != 8) {
-    return Status::ProtocolError("bad stat response payload");
-  }
-  return ReadU64(response->data());
+  Result<uint64_t> size = Submit(Opcode::kStat, 0, path, SizeOf).get();
+  DAVIX_RETURN_IF_ERROR(size.status().WithContext("stat " + path));
+  return size;
 }
 
 Status XrdClient::Close(uint32_t handle) {
   std::string payload;
   AppendU32(&payload, handle);
-  Result<std::string> response =
-      Submit(Opcode::kClose, 0, std::move(payload), nullptr).get();
-  return response.ok() ? Status::OK() : response.status();
+  return Submit(Opcode::kClose, 0, std::move(payload), PayloadOf)
+      .get()
+      .status();
 }
 
 Result<std::string> XrdClient::Read(uint32_t handle, uint64_t offset,
@@ -178,7 +131,7 @@ std::future<Result<std::string>> XrdClient::ReadAsync(uint32_t handle,
                                                       uint64_t offset,
                                                       uint32_t length) {
   return Submit(Opcode::kRead, offset, EncodeReadPayload(handle, length),
-                nullptr);
+                PayloadOf);
 }
 
 Result<std::vector<std::string>> XrdClient::ReadVector(
@@ -191,7 +144,7 @@ Result<std::vector<std::string>> XrdClient::ReadVector(
 std::future<Result<std::string>> XrdClient::ReadVectorRawAsync(
     uint32_t handle, const std::vector<http::ByteRange>& ranges) {
   return Submit(Opcode::kReadVector, 0,
-                EncodeReadVectorPayload(handle, ranges), nullptr);
+                EncodeReadVectorPayload(handle, ranges), PayloadOf);
 }
 
 Result<std::vector<std::string>> DecodeReadVectorResponse(

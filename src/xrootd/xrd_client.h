@@ -6,15 +6,11 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
 #include "http/range.h"
-#include "net/buffered_reader.h"
-#include "net/tcp_socket.h"
+#include "net/demux_connection.h"
 #include "xrootd/frame.h"
 
 namespace davix {
@@ -35,19 +31,22 @@ struct OpenInfo {
 /// Asynchronous multiplexing client for the xrootd-like protocol.
 ///
 /// One TCP connection carries any number of outstanding requests, keyed
-/// by stream id; a background reader thread completes them as responses
-/// arrive (in any order). This is the baseline architecture the paper
-/// compares davix against: "parallel asynchronous data access on top of
-/// its own I/O multiplexing".
+/// by a u16 stream id; net::DemuxConnection's reader thread completes
+/// them as responses arrive (in any order). This is the baseline
+/// architecture the paper compares davix against: "parallel asynchronous
+/// data access on top of its own I/O multiplexing".
 ///
-/// Thread-safe: yes — all calls may come from any thread; one internal
-/// mutex serialises stream allocation and frame writes.
+/// Thread-safe: yes — all calls may come from any thread.
 class XrdClient {
  public:
+  /// Connects and starts the reader thread. Each socket read waits at
+  /// most `config.operation_timeout_micros`; a read that times out fails
+  /// the connection.
   static Result<std::unique_ptr<XrdClient>> Connect(
       const std::string& host, uint16_t port, XrdClientConfig config = {});
 
-  ~XrdClient();
+  /// Resolves every request still in flight with kCancelled.
+  ~XrdClient() = default;
 
   XrdClient(const XrdClient&) = delete;
   XrdClient& operator=(const XrdClient&) = delete;
@@ -80,7 +79,7 @@ class XrdClient {
       uint32_t handle, const std::vector<http::ByteRange>& ranges);
 
   /// True until the connection dies; afterwards every call fails fast.
-  bool IsAlive() const { return alive_.load(std::memory_order_relaxed); }
+  bool IsAlive() const { return connection_->alive(); }
 
   /// Frames sent (== round trips consumed, since each request frame
   /// yields one response frame).
@@ -89,35 +88,17 @@ class XrdClient {
   }
 
  private:
-  struct Pending {
-    std::promise<Result<std::string>> promise;  // raw response payload
-    uint64_t* arg_out = nullptr;                // optional response arg sink
-  };
+  XrdClient() = default;
 
-  XrdClient(XrdClientConfig config);
+  /// Sends one request frame. The future resolves to `decode` of the
+  /// response frame, or to the error that ended the exchange.
+  template <typename T>
+  std::future<Result<T>> Submit(Opcode opcode, uint64_t arg,
+                                std::string payload,
+                                Result<T> (*decode)(Frame frame));
 
-  void ReaderLoop();
-
-  /// Sends a frame and registers a pending completion; returns the
-  /// future resolving to the raw response payload.
-  std::future<Result<std::string>> Submit(Opcode opcode, uint64_t arg,
-                                          std::string payload,
-                                          uint64_t* arg_out);
-
-  /// Fails every pending request with `status` and marks the client dead.
-  void FailAll(const Status& status);
-
-  XrdClientConfig config_;
-  std::unique_ptr<net::TcpSocket> socket_;
-  std::unique_ptr<net::BufferedReader> reader_;
-  std::thread reader_thread_;
-  std::atomic<bool> alive_{false};
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> requests_sent_{0};
-
-  Mutex mu_;  // also serialises socket writes
-  std::unordered_map<uint16_t, Pending> pending_ GUARDED_BY(mu_);
-  uint16_t next_stream_id_ GUARDED_BY(mu_) = 1;
+  std::unique_ptr<net::DemuxConnection<Frame>> connection_;
 };
 
 /// Slices a kReadVector response payload back into per-range strings.

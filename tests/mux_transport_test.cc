@@ -368,6 +368,46 @@ TEST_F(MuxTransportTest, DeadlineExpiryMidStreamCancelsAndKeepsConnection) {
   EXPECT_GE(server_->stats().streams_cancelled.load(), 1u);
 }
 
+TEST_F(MuxTransportTest, ClearFailsExchangesInFlight) {
+  router_->Handle(http::Method::kGet, "/sleepy",
+                  [](const http::HttpRequest&, http::HttpResponse* response) {
+                    SleepForMicros(300'000);
+                    response->status_code = 200;
+                    response->body = "late";
+                  });
+  core::RequestParams params = params_;
+  params.max_retries = 0;
+  core::HttpClient client(context_.get());
+  core::MuxTransport& transport = context_->mux_transport();
+
+  constexpr int kCalls = 4;
+  std::vector<Status> outcomes(kCalls);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kCalls; ++i) {
+    threads.emplace_back([&, i] {
+      outcomes[i] =
+          client.Execute(UrlFor("/sleepy"), http::Method::kGet, params)
+              .status();
+    });
+  }
+  // Every call is waiting on its stream before the transport clears.
+  for (int i = 0; i < 200 && transport.stats().streams_opened.load() < kCalls;
+       ++i) {
+    SleepForMicros(5'000);
+  }
+  ASSERT_EQ(transport.stats().streams_opened.load(),
+            static_cast<uint64_t>(kCalls));
+  transport.Clear();
+  for (std::thread& thread : threads) thread.join();
+
+  for (const Status& status : outcomes) {
+    EXPECT_TRUE(status.code() == StatusCode::kCancelled ||
+                status.code() == StatusCode::kConnectionReset)
+        << status.ToString();
+  }
+  EXPECT_EQ(transport.TotalConnections(), 0u);
+}
+
 TEST_F(MuxTransportTest, BreakerFastFailsThroughTheSeam) {
   // Aim the transport at a dead port: each connect failure counts
   // against the host's breaker, and once it opens, Execute fails fast

@@ -1,11 +1,14 @@
 #include <future>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/read_ahead_stream.h"
 #include "httpd/object_store.h"
+#include "netsim/link_profile.h"
 #include "test_util.h"
 #include "xrootd/frame.h"
-#include "xrootd/readahead.h"
 #include "xrootd/xrd_client.h"
 #include "xrootd/xrd_server.h"
 
@@ -196,19 +199,99 @@ TEST_F(XrdTest, EmptyObjectReads) {
   EXPECT_TRUE(data.empty());
 }
 
+// ---------------------------------------------------------------- teardown
+
+TEST(XrdTeardownTest, DestroyingClientResolvesEveryFuture) {
+  auto store = std::make_shared<httpd::ObjectStore>();
+  Rng rng(77);
+  std::string content = rng.Bytes(256 * 1024);
+  store->Put("/data.bin", content);
+  XrdServerConfig config;
+  config.link = netsim::LinkProfile::Wan();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<XrdServer> server,
+                       XrdServer::Start(config, store));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<XrdClient> client,
+                       XrdClient::Connect("127.0.0.1", server->port()));
+  ASSERT_OK(client->Login());
+  ASSERT_OK_AND_ASSIGN(OpenInfo info, client->Open("/data.bin"));
+
+  // Exchanges in flight across a WAN round trip when the client dies.
+  std::vector<std::future<Result<std::string>>> reads;
+  std::vector<std::future<Result<std::string>>> vectors;
+  std::vector<http::ByteRange> ranges = {{0, 100}, {200'000, 300}};
+  for (uint64_t i = 0; i < 8; ++i) {
+    reads.push_back(client->ReadAsync(info.handle, i * 4096, 4096));
+    vectors.push_back(client->ReadVectorRawAsync(info.handle, ranges));
+  }
+  Stopwatch stopwatch;
+  client.reset();
+  EXPECT_LT(stopwatch.ElapsedSeconds(), 1.0);
+
+  // Each future resolves, to its bytes or to a typed error; none is a
+  // broken promise (std::future_error).
+  for (uint64_t i = 0; i < reads.size(); ++i) {
+    Result<std::string> data{std::string()};
+    ASSERT_NO_THROW(data = reads[i].get());
+    if (data.ok()) {
+      EXPECT_EQ(*data, content.substr(i * 4096, 4096));
+    } else {
+      EXPECT_EQ(data.status().code(), StatusCode::kCancelled)
+          << data.status().ToString();
+    }
+  }
+  for (auto& future : vectors) {
+    Result<std::string> raw{std::string()};
+    ASSERT_NO_THROW(raw = future.get());
+    if (raw.ok()) {
+      ASSERT_OK_AND_ASSIGN(auto parts,
+                           DecodeReadVectorResponse(*raw, ranges.size()));
+      EXPECT_EQ(parts[0], content.substr(0, 100));
+      EXPECT_EQ(parts[1], content.substr(200'000, 300));
+    } else {
+      EXPECT_EQ(raw.status().code(), StatusCode::kCancelled)
+          << raw.status().ToString();
+    }
+  }
+}
+
 // -------------------------------------------------------------- readahead
 
-class ReadAheadTest : public XrdTest {};
+/// The comparator's read-ahead: core::ReadAheadStream fetching through
+/// XrdClient::Read, on a pool of W threads so that W reads stay
+/// outstanding on the one connection. W = 0 has no pool: each chunk is
+/// fetched on the reading thread by the Read that needs it.
+class ReadAheadTest : public XrdTest {
+ protected:
+  std::unique_ptr<core::ReadAheadStream> MakeStream(const OpenInfo& info,
+                                                    uint64_t chunk_bytes,
+                                                    size_t window_chunks) {
+    if (window_chunks > 0) {
+      pool_ = std::make_unique<ThreadPool>(window_chunks);
+    }
+    core::ReadAheadStreamConfig config;
+    config.chunk_bytes = chunk_bytes;
+    config.window_chunks = window_chunks;
+    config.file_size = info.size;
+    XrdClient* client = client_.get();
+    uint32_t handle = info.handle;
+    return std::make_unique<core::ReadAheadStream>(
+        [client, handle](uint64_t offset, uint64_t length) {
+          return client->Read(handle, offset, static_cast<uint32_t>(length));
+        },
+        pool_.get(), config);
+  }
+
+  /// Declared after the client it reads through, so it is joined first.
+  std::unique_ptr<ThreadPool> pool_;
+};
 
 TEST_F(ReadAheadTest, SequentialReadMatchesContent) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 8192;
-  config.window_chunks = 4;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
+  auto stream = MakeStream(info, 8192, 4);
   std::string assembled;
   while (true) {
-    ASSERT_OK_AND_ASSIGN(std::string chunk, stream.Read(3000));
+    ASSERT_OK_AND_ASSIGN(std::string chunk,
+                         stream->Read(assembled.size(), 3000));
     if (chunk.empty()) break;
     assembled += chunk;
   }
@@ -217,28 +300,25 @@ TEST_F(ReadAheadTest, SequentialReadMatchesContent) {
 
 TEST_F(ReadAheadTest, WindowKeepsMultipleRequestsInFlight) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 4096;
-  config.window_chunks = 8;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
-  ASSERT_OK_AND_ASSIGN(std::string first, stream.Read(100));
+  auto stream = MakeStream(info, 4096, 8);
+  ASSERT_OK_AND_ASSIGN(std::string first, stream->Read(0, 100));
   EXPECT_EQ(first, content_.substr(0, 100));
   // After the first read, the window should have prefetched well beyond
   // the consumed 100 bytes: at least window worth of read requests sent.
+  // The reads go out from the pool threads, so give them a bounded
+  // moment to reach the wire.
+  for (int i = 0; i < 200 && client_->requests_sent() < 8u; ++i) {
+    SleepForMicros(5'000);
+  }
   EXPECT_GE(client_->requests_sent(), 8u);
 }
 
 TEST_F(ReadAheadTest, SeekDiscardsWindowButStaysCorrect) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 8192;
-  config.window_chunks = 4;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
-  ASSERT_OK_AND_ASSIGN(std::string a, stream.Read(500));
-  stream.Seek(300'000);
-  ASSERT_OK_AND_ASSIGN(std::string b, stream.Read(500));
-  stream.Seek(10);
-  ASSERT_OK_AND_ASSIGN(std::string c, stream.Read(500));
+  auto stream = MakeStream(info, 8192, 4);
+  ASSERT_OK_AND_ASSIGN(std::string a, stream->Read(0, 500));
+  ASSERT_OK_AND_ASSIGN(std::string b, stream->Read(300'000, 500));
+  ASSERT_OK_AND_ASSIGN(std::string c, stream->Read(10, 500));
   EXPECT_EQ(a, content_.substr(0, 500));
   EXPECT_EQ(b, content_.substr(300'000, 500));
   EXPECT_EQ(c, content_.substr(10, 500));
@@ -246,21 +326,20 @@ TEST_F(ReadAheadTest, SeekDiscardsWindowButStaysCorrect) {
 
 TEST_F(ReadAheadTest, ZeroWindowIsSynchronous) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 65536;
-  config.window_chunks = 0;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
-  ASSERT_OK_AND_ASSIGN(std::string data, stream.Read(1000));
+  auto stream = MakeStream(info, 65536, 0);
+  ASSERT_OK_AND_ASSIGN(std::string data, stream->Read(0, 1000));
   EXPECT_EQ(data, content_.substr(0, 1000));
+  // Reading the rest of the first chunk fetches nothing ahead of it:
+  // login, open and that one chunk.
+  ASSERT_OK_AND_ASSIGN(std::string rest, stream->Read(1000, 65536 - 1000));
+  EXPECT_EQ(rest, content_.substr(1000, 65536 - 1000));
+  EXPECT_EQ(client_->requests_sent(), 3u);
 }
 
 TEST_F(ReadAheadTest, ReadAcrossChunkBoundaries) {
   ASSERT_OK_AND_ASSIGN(OpenInfo info, client_->Open("/data.bin"));
-  ReadAheadConfig config;
-  config.chunk_bytes = 1000;  // force many boundaries
-  config.window_chunks = 2;
-  XrdReadAheadStream stream(client_.get(), info.handle, info.size, config);
-  ASSERT_OK_AND_ASSIGN(std::string data, stream.Read(9990));
+  auto stream = MakeStream(info, 1000, 2);  // force many boundaries
+  ASSERT_OK_AND_ASSIGN(std::string data, stream->Read(0, 9990));
   EXPECT_EQ(data, content_.substr(0, 9990));
 }
 
