@@ -53,52 +53,14 @@ std::string SampleStats::Summary(const std::string& unit) const {
 }
 
 std::string IoCounters::ToString() const {
-  char buf[1280];
-  std::snprintf(
-      buf, sizeof(buf),
-      "requests=%llu rtts=%llu bytes_read=%llu bytes_written=%llu "
-      "conn_opened=%llu conn_reused=%llu redirects=%llu retries=%llu "
-      "retry_after_honored=%llu deadline_expirations=%llu stall_aborts=%llu "
-      "breaker_opens=%llu breaker_closes=%llu breaker_fast_fails=%llu "
-      "breaker_half_open_probes=%llu "
-      "failovers=%llu quarantines=%llu validator_rejects=%llu "
-      "multisource_chunks=%llu multisource_cache_chunks=%llu "
-      "vector_queries=%llu ranges=%llu cache_hits=%llu "
-      "cache_misses=%llu cache_evictions=%llu cache_bytes_saved=%llu "
-      "mux_conn_opened=%llu mux_conn_lost=%llu mux_streams=%llu "
-      "mux_streams_reset=%llu mux_backpressure_waits=%llu",
-      static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(network_round_trips),
-      static_cast<unsigned long long>(bytes_read),
-      static_cast<unsigned long long>(bytes_written),
-      static_cast<unsigned long long>(connections_opened),
-      static_cast<unsigned long long>(connections_reused),
-      static_cast<unsigned long long>(redirects_followed),
-      static_cast<unsigned long long>(retries),
-      static_cast<unsigned long long>(retry_after_honored),
-      static_cast<unsigned long long>(deadline_expirations),
-      static_cast<unsigned long long>(stall_aborts),
-      static_cast<unsigned long long>(breaker_opens),
-      static_cast<unsigned long long>(breaker_closes),
-      static_cast<unsigned long long>(breaker_fast_fails),
-      static_cast<unsigned long long>(breaker_half_open_probes),
-      static_cast<unsigned long long>(replica_failovers),
-      static_cast<unsigned long long>(replica_quarantines),
-      static_cast<unsigned long long>(replica_validator_rejects),
-      static_cast<unsigned long long>(multisource_chunks),
-      static_cast<unsigned long long>(multisource_cache_chunks),
-      static_cast<unsigned long long>(vector_queries),
-      static_cast<unsigned long long>(ranges_requested),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses),
-      static_cast<unsigned long long>(cache_evictions),
-      static_cast<unsigned long long>(cache_bytes_saved),
-      static_cast<unsigned long long>(mux_connections_opened),
-      static_cast<unsigned long long>(mux_connections_lost),
-      static_cast<unsigned long long>(mux_streams_opened),
-      static_cast<unsigned long long>(mux_streams_reset),
-      static_cast<unsigned long long>(mux_backpressure_waits));
-  return buf;
+  std::string out;
+  ForEach([&out](const char* name, uint64_t value) {
+    if (!out.empty()) out += ' ';
+    out += name;
+    out += '=';
+    out += std::to_string(value);
+  });
+  return out;
 }
 
 }  // namespace davix

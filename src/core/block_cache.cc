@@ -29,7 +29,9 @@ void CopyOut(const std::vector<Segment>& segments, char* dest) {
 
 }  // namespace
 
-BlockCache::BlockCache(BlockCacheConfig config) : config_(config) {
+BlockCache::BlockCache(BlockCacheConfig config,
+                       std::shared_ptr<IoCounters> counters)
+    : config_(config), counters_(std::move(counters)) {
   if (config_.block_bytes == 0) config_.block_bytes = kDefaultBlockBytes;
   if (config_.shards == 0) config_.shards = kDefaultShards;
   if (enabled()) {
@@ -107,10 +109,10 @@ uint64_t BlockCache::ReadPrefix(const std::string& url_key, uint64_t offset,
     CopyOut(segments, dest);
   }
   if (covered > 0) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes_saved_.fetch_add(covered, std::memory_order_relaxed);
+    counters_->cache_hits.fetch_add(1);
+    counters_->cache_bytes_saved.fetch_add(covered);
   }
-  if (covered < length) misses_.fetch_add(1, std::memory_order_relaxed);
+  if (covered < length) counters_->cache_misses.fetch_add(1);
   return covered;
 }
 
@@ -150,8 +152,8 @@ uint64_t BlockCache::ReadSuffix(const std::string& url_key, uint64_t offset,
     CopyOut(segments, dest);
   }
   if (covered > 0) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes_saved_.fetch_add(covered, std::memory_order_relaxed);
+    counters_->cache_hits.fetch_add(1);
+    counters_->cache_bytes_saved.fetch_add(covered);
   }
   return covered;
 }
@@ -191,8 +193,8 @@ bool BlockCache::TryReadFull(const std::string& url_key, uint64_t offset,
   }
   out->resize(length);
   CopyOut(segments, out->data());
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  bytes_saved_.fetch_add(length, std::memory_order_relaxed);
+  counters_->cache_hits.fetch_add(1);
+  counters_->cache_bytes_saved.fetch_add(length);
   return true;
 }
 
@@ -236,7 +238,7 @@ std::optional<BlockValidator> BlockCache::UrlValidator(
 
 void BlockCache::RecordMisses(uint64_t lookups) {
   if (enabled() && lookups > 0) {
-    misses_.fetch_add(lookups, std::memory_order_relaxed);
+    counters_->cache_misses.fetch_add(lookups);
   }
 }
 
@@ -303,9 +305,8 @@ bool BlockCache::Insert(const std::string& url_key,
     block.lru_it = shard.lru.begin();
     shard.resident_bytes += slice.payload->size();
     url->block_count.fetch_add(1, std::memory_order_relaxed);
-    bytes_inserted_.fetch_add(slice.payload->size(),
-                              std::memory_order_relaxed);
-    insertions_.fetch_add(1, std::memory_order_relaxed);
+    counters_->cache_bytes_inserted.fetch_add(slice.payload->size());
+    counters_->cache_insertions.fetch_add(1);
     block.data = std::move(slice.payload);
     EvictLocked(&shard);
   }
@@ -320,7 +321,7 @@ bool BlockCache::Insert(const std::string& url_key,
 
 void BlockCache::RemoveBlockLocked(
     Shard* shard, std::map<BlockKey, Block, BlockKeyLess>::iterator it,
-    std::atomic<uint64_t>* counter) {
+    Counter* counter) {
   shard->resident_bytes -= it->second.data->size();
   shard->lru.erase(it->second.lru_it);
   UrlInfo* url = it->first.first;
@@ -330,13 +331,13 @@ void BlockCache::RemoveBlockLocked(
     empties_.push_back(url->key);
   }
   shard->blocks.erase(it);
-  counter->fetch_add(1, std::memory_order_relaxed);
+  counter->fetch_add(1);
 }
 
 void BlockCache::EvictLocked(Shard* shard) {
   while (shard->resident_bytes > shard_budget_ && !shard->lru.empty()) {
     RemoveBlockLocked(shard, shard->blocks.find(shard->lru.back()),
-                      &evictions_);
+                      &counters_->cache_evictions);
   }
 }
 
@@ -348,7 +349,7 @@ void BlockCache::PurgeBlocksOf(UrlInfo* url) {
     auto it = shard->blocks.lower_bound(BlockKey{url, 0});
     while (it != shard->blocks.end() && it->first.first == url) {
       auto next = std::next(it);
-      RemoveBlockLocked(shard, it, &invalidations_);
+      RemoveBlockLocked(shard, it, &counters_->cache_invalidations);
       it = next;
     }
   }
@@ -386,15 +387,8 @@ void BlockCache::Clear() {
   empties_.clear();
 }
 
-BlockCacheCounters BlockCache::Snapshot() const {
-  BlockCacheCounters out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.insertions = insertions_.load(std::memory_order_relaxed);
-  out.evictions = evictions_.load(std::memory_order_relaxed);
-  out.invalidations = invalidations_.load(std::memory_order_relaxed);
-  out.bytes_saved = bytes_saved_.load(std::memory_order_relaxed);
-  out.bytes_inserted = bytes_inserted_.load(std::memory_order_relaxed);
+BlockCacheResidency BlockCache::Residency() const {
+  BlockCacheResidency out;
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     const Shard* shard = shard_ptr.get();
     MutexLock lock(shard->mu);
@@ -402,16 +396,6 @@ BlockCacheCounters BlockCache::Snapshot() const {
     out.resident_blocks += shard->lru.size();
   }
   return out;
-}
-
-void BlockCache::ResetCounters() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  insertions_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  invalidations_.store(0, std::memory_order_relaxed);
-  bytes_saved_.store(0, std::memory_order_relaxed);
-  bytes_inserted_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace core

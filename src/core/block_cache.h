@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/stats.h"
 #include "common/uri.h"
 
 namespace davix {
@@ -54,18 +55,11 @@ struct BlockCacheConfig {
   size_t shards = 0;
 };
 
-/// Monotonic counters plus a point-in-time residency view, snapshotted
-/// coherently per shard (not across shards).
-struct BlockCacheCounters {
-  uint64_t hits = 0;          ///< lookups (prefix/suffix/probe) that served bytes
-  uint64_t misses = 0;        ///< lookups that found no usable block
-  uint64_t insertions = 0;    ///< blocks written into the cache
-  uint64_t evictions = 0;     ///< blocks evicted by the LRU budget
-  uint64_t invalidations = 0; ///< blocks dropped by validator mismatch / purge
-  uint64_t bytes_saved = 0;   ///< payload bytes served from cache (not the wire)
-  uint64_t bytes_inserted = 0;///< payload bytes written into the cache
-  uint64_t resident_bytes = 0; ///< payload bytes held right now
-  uint64_t resident_blocks = 0;///< blocks held right now
+/// Point-in-time residency of the cache, read coherently per shard (not
+/// across shards). A gauge, not a counter: a counter reset leaves it be.
+struct BlockCacheResidency {
+  uint64_t resident_bytes = 0;  ///< payload bytes held right now
+  uint64_t resident_blocks = 0; ///< blocks held right now
 };
 
 /// Bounded, sharded LRU block cache shared by every read path of one
@@ -104,7 +98,10 @@ struct BlockCacheCounters {
 /// registry, then shard.
 class BlockCache {
  public:
-  explicit BlockCache(BlockCacheConfig config);
+  /// Counts the cache_* lines of `counters` (the Context's table).
+  explicit BlockCache(
+      BlockCacheConfig config,
+      std::shared_ptr<IoCounters> counters = std::make_shared<IoCounters>());
 
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
@@ -199,10 +196,12 @@ class BlockCache {
   /// Drops everything (counted as invalidations).
   void Clear();
 
-  BlockCacheCounters Snapshot() const;
+  /// The counter table this cache counts into. Hits are lookups
+  /// (prefix, suffix or probe) that served bytes; misses found no usable
+  /// block.
+  IoCounters& stats() { return *counters_; }
 
-  /// Zeroes the monotonic counters; resident blocks stay cached.
-  void ResetCounters();
+  BlockCacheResidency Residency() const;
 
  private:
   /// Interned per-URL record; block keys reference it by raw pointer
@@ -262,7 +261,7 @@ class BlockCache {
   /// whose last block goes is queued on `empties_` for reclamation.
   void RemoveBlockLocked(Shard* shard,
                          std::map<BlockKey, Block, BlockKeyLess>::iterator it,
-                         std::atomic<uint64_t>* counter)
+                         Counter* counter)
       REQUIRES(shard->mu, registry_mu_);
   /// Evicts LRU-tail blocks until the shard fits its budget (shard and
   /// registry locks held).
@@ -289,13 +288,7 @@ class BlockCache {
   /// the end of the mutator that emptied them.
   std::vector<std::string> empties_ GUARDED_BY(registry_mu_);
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<uint64_t> bytes_saved_{0};
-  std::atomic<uint64_t> bytes_inserted_{0};
+  std::shared_ptr<IoCounters> counters_;
   /// See PurgeEpoch(). Bumped under registry_mu_ by PurgeBlocksOf.
   std::atomic<uint64_t> purge_epoch_{0};
 };

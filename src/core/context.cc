@@ -8,8 +8,8 @@ namespace core {
 
 Context::Context(SessionPoolConfig pool_config, size_t dispatcher_threads,
                  BlockCacheConfig cache_config)
-    : pool_(std::make_unique<SessionPool>(pool_config)),
-      block_cache_(std::make_unique<BlockCache>(cache_config)),
+    : pool_(std::make_unique<SessionPool>(pool_config, counters_)),
+      block_cache_(std::make_unique<BlockCache>(cache_config, counters_)),
       dispatcher_threads_(dispatcher_threads) {}
 
 ThreadPool& Context::dispatcher() {
@@ -32,7 +32,7 @@ bool Context::dispatcher_started() const {
 MuxTransport& Context::mux_transport() {
   MutexLock lock(mux_mu_);
   if (!mux_transport_) {
-    mux_transport_ = std::make_unique<MuxTransport>();
+    mux_transport_ = std::make_unique<MuxTransport>(counters_);
   }
   return *mux_transport_;
 }
@@ -40,108 +40,6 @@ MuxTransport& Context::mux_transport() {
 bool Context::mux_transport_started() const {
   MutexLock lock(mux_mu_);
   return mux_transport_ != nullptr;
-}
-
-IoCounters Context::SnapshotCounters() const {
-  IoCounters out;
-  out.requests = stats_.requests.load(std::memory_order_relaxed);
-  out.network_round_trips =
-      stats_.network_round_trips.load(std::memory_order_relaxed);
-  out.bytes_read = stats_.bytes_read.load(std::memory_order_relaxed);
-  out.bytes_written = stats_.bytes_written.load(std::memory_order_relaxed);
-  out.redirects_followed =
-      stats_.redirects_followed.load(std::memory_order_relaxed);
-  out.retries = stats_.retries.load(std::memory_order_relaxed);
-  out.retry_after_honored =
-      stats_.retry_after_honored.load(std::memory_order_relaxed);
-  out.deadline_expirations =
-      stats_.deadline_expirations.load(std::memory_order_relaxed);
-  out.stall_aborts = stats_.stall_aborts.load(std::memory_order_relaxed);
-  CircuitBreakerStats& breaker = pool_->breakers().stats();
-  out.breaker_opens = breaker.opens.load(std::memory_order_relaxed);
-  out.breaker_closes = breaker.closes.load(std::memory_order_relaxed);
-  out.breaker_fast_fails = breaker.fast_fails.load(std::memory_order_relaxed);
-  out.breaker_half_open_probes =
-      breaker.half_open_probes.load(std::memory_order_relaxed);
-  out.replica_failovers =
-      stats_.replica_failovers.load(std::memory_order_relaxed);
-  out.replica_quarantines =
-      stats_.replica_quarantines.load(std::memory_order_relaxed);
-  out.replica_validator_rejects =
-      stats_.replica_validator_rejects.load(std::memory_order_relaxed);
-  out.multisource_chunks =
-      stats_.multisource_chunks.load(std::memory_order_relaxed);
-  out.multisource_cache_chunks =
-      stats_.multisource_cache_chunks.load(std::memory_order_relaxed);
-  out.vector_queries = stats_.vector_queries.load(std::memory_order_relaxed);
-  out.ranges_requested =
-      stats_.ranges_requested.load(std::memory_order_relaxed);
-  out.connections_opened =
-      pool_->stats().connects.load(std::memory_order_relaxed);
-  out.connections_reused =
-      pool_->stats().recycled.load(std::memory_order_relaxed);
-  {
-    MutexLock lock(mux_mu_);
-    if (mux_transport_) {
-      MuxTransportStats& mux = mux_transport_->stats();
-      out.mux_connections_opened =
-          mux.connections_opened.load(std::memory_order_relaxed);
-      out.mux_connections_lost =
-          mux.connections_lost.load(std::memory_order_relaxed);
-      out.mux_streams_opened =
-          mux.streams_opened.load(std::memory_order_relaxed);
-      out.mux_streams_reset =
-          mux.streams_reset.load(std::memory_order_relaxed);
-      out.mux_backpressure_waits =
-          mux.backpressure_waits.load(std::memory_order_relaxed);
-    }
-  }
-  BlockCacheCounters cache = block_cache_->Snapshot();
-  out.cache_hits = cache.hits;
-  out.cache_misses = cache.misses;
-  out.cache_evictions = cache.evictions;
-  out.cache_bytes_saved = cache.bytes_saved;
-  return out;
-}
-
-void Context::ResetCounters() {
-  stats_.requests.store(0, std::memory_order_relaxed);
-  stats_.network_round_trips.store(0, std::memory_order_relaxed);
-  stats_.bytes_read.store(0, std::memory_order_relaxed);
-  stats_.bytes_written.store(0, std::memory_order_relaxed);
-  stats_.redirects_followed.store(0, std::memory_order_relaxed);
-  stats_.retries.store(0, std::memory_order_relaxed);
-  stats_.retry_after_honored.store(0, std::memory_order_relaxed);
-  stats_.deadline_expirations.store(0, std::memory_order_relaxed);
-  stats_.stall_aborts.store(0, std::memory_order_relaxed);
-  stats_.replica_failovers.store(0, std::memory_order_relaxed);
-  stats_.replica_quarantines.store(0, std::memory_order_relaxed);
-  stats_.replica_validator_rejects.store(0, std::memory_order_relaxed);
-  stats_.multisource_chunks.store(0, std::memory_order_relaxed);
-  stats_.multisource_cache_chunks.store(0, std::memory_order_relaxed);
-  stats_.vector_queries.store(0, std::memory_order_relaxed);
-  stats_.ranges_requested.store(0, std::memory_order_relaxed);
-  pool_->stats().connects.store(0, std::memory_order_relaxed);
-  pool_->stats().recycled.store(0, std::memory_order_relaxed);
-  pool_->stats().discarded.store(0, std::memory_order_relaxed);
-  pool_->stats().expired.store(0, std::memory_order_relaxed);
-  CircuitBreakerStats& breaker = pool_->breakers().stats();
-  breaker.opens.store(0, std::memory_order_relaxed);
-  breaker.closes.store(0, std::memory_order_relaxed);
-  breaker.fast_fails.store(0, std::memory_order_relaxed);
-  breaker.half_open_probes.store(0, std::memory_order_relaxed);
-  {
-    MutexLock lock(mux_mu_);
-    if (mux_transport_) {
-      MuxTransportStats& mux = mux_transport_->stats();
-      mux.connections_opened.store(0, std::memory_order_relaxed);
-      mux.connections_lost.store(0, std::memory_order_relaxed);
-      mux.streams_opened.store(0, std::memory_order_relaxed);
-      mux.streams_reset.store(0, std::memory_order_relaxed);
-      mux.backpressure_waits.store(0, std::memory_order_relaxed);
-    }
-  }
-  block_cache_->ResetCounters();
 }
 
 }  // namespace core

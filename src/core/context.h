@@ -1,7 +1,6 @@
 #ifndef DAVIX_CORE_CONTEXT_H_
 #define DAVIX_CORE_CONTEXT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -14,27 +13,6 @@
 
 namespace davix {
 namespace core {
-
-/// Atomic mirror of IoCounters, updated concurrently by every request
-/// issued through a Context.
-struct ContextStats {
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> network_round_trips{0};
-  std::atomic<uint64_t> bytes_read{0};
-  std::atomic<uint64_t> bytes_written{0};
-  std::atomic<uint64_t> redirects_followed{0};
-  std::atomic<uint64_t> retries{0};
-  std::atomic<uint64_t> retry_after_honored{0};
-  std::atomic<uint64_t> deadline_expirations{0};
-  std::atomic<uint64_t> stall_aborts{0};
-  std::atomic<uint64_t> replica_failovers{0};
-  std::atomic<uint64_t> replica_quarantines{0};
-  std::atomic<uint64_t> replica_validator_rejects{0};
-  std::atomic<uint64_t> multisource_chunks{0};
-  std::atomic<uint64_t> multisource_cache_chunks{0};
-  std::atomic<uint64_t> vector_queries{0};
-  std::atomic<uint64_t> ranges_requested{0};
-};
 
 /// Root object of the library, like davix::Context: owns the session
 /// pool (§2.2), the shared dispatcher thread pool, the per-Context block
@@ -62,7 +40,10 @@ class Context {
   Context& operator=(const Context&) = delete;
 
   SessionPool& pool() { return *pool_; }
-  ContextStats& stats() { return stats_; }
+
+  /// The Context's one I/O counter table. The pool, its breaker
+  /// registry, the mux transport and the block cache count into it too.
+  IoCounters& stats() { return *counters_; }
 
   /// The shared block cache consulted and filled by every read path
   /// (DavPosix::Read/PRead, the read-ahead window, ReadPartialVec).
@@ -89,20 +70,19 @@ class Context {
   /// True once mux_transport() has been called.
   bool mux_transport_started() const;
 
-  /// Consistent snapshot of the counters (plus pool connection counts
-  /// and block-cache hit/miss/bytes-saved totals) as a plain IoCounters
-  /// value for reporting.
-  IoCounters SnapshotCounters() const;
+  /// A copy of the counter table for reporting (each field read on its
+  /// own; see IoCounters).
+  IoCounters SnapshotCounters() const { return *counters_; }
 
-  /// Zeroes all counters (pool and cache stats included); benchmarks
-  /// call this between phases. Cached blocks stay resident — only the
-  /// accounting resets.
-  void ResetCounters();
+  /// Zeroes every counter; benchmarks call this between phases. Idle
+  /// sessions and cached blocks stay — only the accounting resets.
+  void ResetCounters() { counters_->Reset(); }
 
  private:
+  /// Declared first: outlives every subsystem that counts into it.
+  std::shared_ptr<IoCounters> counters_ = std::make_shared<IoCounters>();
   std::unique_ptr<SessionPool> pool_;
   std::unique_ptr<BlockCache> block_cache_;
-  ContextStats stats_;
   size_t dispatcher_threads_;
   mutable Mutex dispatcher_mu_;
   mutable Mutex mux_mu_;

@@ -10,9 +10,10 @@ namespace {
 // Defaults behind the 0 = auto convention of the RequestParams knobs.
 constexpr size_t kDefaultMaxConnectionsPerHost = 2;
 constexpr size_t kDefaultMaxStreamsPerConnection = 64;
-// Backpressure re-check interval: waiters are notified on every
-// completed exchange, the poll only covers lost wakeups.
-constexpr int64_t kBackpressurePollMicros = 5'000;
+// Re-check interval of a backpressure or dial wait: waiters are
+// notified on every completed exchange and dial, the poll only covers
+// lost wakeups.
+constexpr int64_t kWaitPollMicros = 5'000;
 
 }  // namespace
 
@@ -85,7 +86,7 @@ MuxConnection::Stream MuxConnection::TryBeginStream(size_t max_streams,
 
 Result<http::HttpResponse> MuxConnection::FinishExchange(
     Stream stream, const http::HttpRequest& request,
-    const RequestParams& params, MuxTransportStats* stats) {
+    const RequestParams& params, IoCounters* counters) {
   std::vector<std::string> wire;
   for (const muxhttp::MuxFrame& frame : muxhttp::FrameMessage(
            stream.id, request.SerializeHead(request.body.size()),
@@ -112,18 +113,14 @@ Result<http::HttpResponse> MuxConnection::FinishExchange(
         muxhttp::MakeRstPayload(muxhttp::MuxRstCode::kCancelled,
                                 "deadline expired"));
     (void)connection_->Send({&rst, 1});
-    if (stats != nullptr) {
-      stats->streams_reset.fetch_add(1, std::memory_order_relaxed);
-    }
+    counters->mux_streams_reset.fetch_add(1);
     return Status::Timeout("mux response deadline exceeded on stream " +
                            std::to_string(stream.id));
   }
   // Either no budget, or the reader claimed the stream before Cancel
   // could: its one outcome is already set or about to be.
   Result<http::HttpResponse> response = stream.response.get();
-  if (!response.ok() && stats != nullptr) {
-    stats->streams_reset.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!response.ok()) counters->mux_streams_reset.fetch_add(1);
   return response;
 }
 
@@ -189,7 +186,7 @@ Result<http::HttpResponse> MuxTransport::Execute(
           bucket.connections;
       for (size_t i = 0; i < conns.size();) {
         if (!conns[i]->alive()) {
-          stats_.connections_lost.fetch_add(1, std::memory_order_relaxed);
+          counters_->mux_connections_lost.fetch_add(1);
           conns.erase(conns.begin() + static_cast<ptrdiff_t>(i));
         } else {
           ++i;
@@ -208,28 +205,44 @@ Result<http::HttpResponse> MuxTransport::Execute(
         if (stream.id != 0) conn = best;
       }
       if (conn == nullptr) {
-        if (conns.size() + bucket.connecting < max_connections) {
+        // Each dial in flight brings max_streams slots, its dialer's
+        // included. A burst fills them before it dials again, so k first
+        // requests open ceil(k / max_streams) connections.
+        const bool await_dial =
+            bucket.dial_claims < bucket.connecting * max_streams;
+        if (!await_dial &&
+            conns.size() + bucket.connecting < max_connections) {
           ++bucket.connecting;
+          ++bucket.dial_claims;
           should_connect = true;
         } else {
-          // Every connection is saturated and the host is at its
-          // connection budget: wait for a slot — the bounded-connection
-          // trade-off §2.2 weighs against pooled HTTP/1.1.
+          // Wait for a dial in flight to land, or, with every connection
+          // saturated and the host at its connection budget, for a slot:
+          // the bounded-connection trade-off §2.2 weighs against pooled
+          // HTTP/1.1. Only the latter is backpressure.
           if (params.deadline.Expired()) {
             return Status::Timeout(
-                "deadline exceeded waiting for a mux stream slot to " + key);
+                std::string("deadline exceeded waiting for a mux ") +
+                (await_dial ? "connection" : "stream slot") + " to " + key);
           }
-          stats_.backpressure_waits.fetch_add(1, std::memory_order_relaxed);
-          int64_t wait = std::min(kBackpressurePollMicros,
+          const uint64_t dials_seen = bucket.dials_done;
+          if (await_dial) {
+            ++bucket.dial_claims;
+          } else {
+            counters_->mux_backpressure_waits.fetch_add(1);
+          }
+          int64_t wait = std::min(kWaitPollMicros,
                                   params.deadline.armed()
                                       ? params.deadline.RemainingMicros()
-                                      : kBackpressurePollMicros);
+                                      : kWaitPollMicros);
           (void)cv_.WaitFor(
               mu_, std::max<int64_t>(wait, 1'000),
-              [this, &key, max_connections, max_streams]() REQUIRES(mu_) {
+              [this, &key, await_dial, dials_seen, max_connections,
+               max_streams]() REQUIRES(mu_) {
                 auto it = buckets_.find(key);
                 if (it == buckets_.end()) return true;
                 const Bucket& b = it->second;
+                if (await_dial) return b.dials_done != dials_seen;
                 if (b.connections.size() + b.connecting < max_connections) {
                   return true;
                 }
@@ -241,6 +254,12 @@ Result<http::HttpResponse> MuxTransport::Execute(
                 }
                 return false;
               });
+          if (await_dial) {
+            auto it = buckets_.find(key);
+            if (it != buckets_.end() && it->second.dial_claims > 0) {
+              --it->second.dial_claims;
+            }
+          }
           continue;
         }
       }
@@ -252,18 +271,22 @@ Result<http::HttpResponse> MuxTransport::Execute(
       MutexLock lock(mu_);
       Bucket& bucket = buckets_[key];
       if (bucket.connecting > 0) --bucket.connecting;
+      if (bucket.dial_claims > 0) --bucket.dial_claims;
+      // Landed or failed, the dial wakes its waiters: they take its
+      // slots, or dial again.
+      ++bucket.dials_done;
       cv_.NotifyAll();
       if (!attempt.ok()) return attempt.status();
       conn = *attempt;
       bucket.connections.push_back(conn);
-      stats_.connections_opened.fetch_add(1, std::memory_order_relaxed);
+      counters_->mux_connections_opened.fetch_add(1);
       stream = conn->TryBeginStream(max_streams, head_request);
       if (stream.id == 0) continue;  // raced to saturation; go around
     }
 
-    stats_.streams_opened.fetch_add(1, std::memory_order_relaxed);
-    Result<http::HttpResponse> result =
-        conn->FinishExchange(std::move(stream), request, params, &stats_);
+    counters_->mux_streams_opened.fetch_add(1);
+    Result<http::HttpResponse> result = conn->FinishExchange(
+        std::move(stream), request, params, counters_.get());
     // A completed exchange frees a stream slot: wake backpressure
     // waiters.
     cv_.NotifyAll();

@@ -1,7 +1,6 @@
 #ifndef DAVIX_CORE_MUX_TRANSPORT_H_
 #define DAVIX_CORE_MUX_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/uri.h"
 #include "core/request_params.h"
@@ -20,22 +20,6 @@
 
 namespace davix {
 namespace core {
-
-/// Counters of the mux transport (thread-safe; mirrored into
-/// IoCounters by Context::SnapshotCounters).
-struct MuxTransportStats {
-  std::atomic<uint64_t> connections_opened{0};
-  /// Connections torn down by read errors / protocol violations.
-  std::atomic<uint64_t> connections_lost{0};
-  std::atomic<uint64_t> streams_opened{0};
-  /// Streams that ended in a per-stream error (peer RST, malformed
-  /// response, local deadline cancel).
-  std::atomic<uint64_t> streams_reset{0};
-  /// Execute calls that had to wait for a stream slot because every
-  /// connection to the host was saturated and the per-host connection
-  /// limit was reached.
-  std::atomic<uint64_t> backpressure_waits{0};
-};
 
 /// One framed client connection carrying many concurrent streams
 /// (muxhttp/frame.h): the mux protocol over net::DemuxConnection, which
@@ -75,10 +59,11 @@ class MuxConnection {
   /// operation_timeout_micros capped by the armed deadline — runs out.
   /// Expiry cancels the stream on the wire (RST kCancelled) and returns
   /// kTimeout. Connection loss fails with a retryable kConnectionReset.
+  /// Any per-stream failure counts one mux_streams_reset in `*counters`.
   Result<http::HttpResponse> FinishExchange(Stream stream,
                                             const http::HttpRequest& request,
                                             const RequestParams& params,
-                                            MuxTransportStats* stats);
+                                            IoCounters* counters);
 
   bool alive() const { return connection_->alive(); }
   size_t active_streams() const { return connection_->in_flight(); }
@@ -111,9 +96,12 @@ class MuxConnection {
 /// MuxConnections, each multiplexing up to
 /// RequestParams::mux_max_streams_per_connection concurrent exchanges.
 /// Execute picks the least-loaded live connection with a free stream
-/// slot, opens a new connection while under the per-host limit
+/// slot, else waits for a connect in flight that still has a free slot,
+/// else opens a new connection while under the per-host limit
 /// (mux_max_connections_per_host), and otherwise blocks until a slot
 /// frees up — bounded connection count is the point of the transport.
+/// Every wait is bounded by the caller's deadline; a failed connect
+/// wakes its waiters, who then dial again or fail.
 ///
 /// Ownership: owned by the Context (lazily, like the dispatcher pool);
 /// HttpClient::ExecuteOnce routes exchanges here when
@@ -122,7 +110,10 @@ class MuxConnection {
 /// Thread-safe: yes.
 class MuxTransport {
  public:
-  MuxTransport() = default;
+  /// Counts the mux_* lines of `counters` (the Context's table).
+  explicit MuxTransport(
+      std::shared_ptr<IoCounters> counters = std::make_shared<IoCounters>())
+      : counters_(std::move(counters)) {}
   ~MuxTransport();
 
   MuxTransport(const MuxTransport&) = delete;
@@ -147,7 +138,11 @@ class MuxTransport {
   /// with kCancelled).
   void Clear();
 
-  MuxTransportStats& stats() { return stats_; }
+  /// The counter table this transport counts into. A backpressure wait
+  /// is a wait for a stream slot while every connection to the host is
+  /// saturated and the host is at its connection limit; lost connections
+  /// are those torn down by read errors or protocol violations.
+  IoCounters& stats() { return *counters_; }
 
  private:
   struct Bucket {
@@ -155,12 +150,18 @@ class MuxTransport {
     /// Connects in flight, counted toward the per-host limit so a burst
     /// of first requests cannot overshoot it.
     size_t connecting = 0;
+    /// Callers counting on a stream slot of a connect in flight, each
+    /// dialer included; at most connecting * max_streams.
+    size_t dial_claims = 0;
+    /// Connects finished, landed or failed: what a caller waiting on a
+    /// dial waits for.
+    uint64_t dials_done = 0;
   };
 
   mutable Mutex mu_;
   CondVar cv_;
   std::unordered_map<std::string, Bucket> buckets_ GUARDED_BY(mu_);
-  MuxTransportStats stats_;
+  std::shared_ptr<IoCounters> counters_;
 };
 
 }  // namespace core

@@ -124,9 +124,9 @@ CircuitBreaker::Decision CircuitBreakerRegistry::Admit(
   }
   CircuitBreaker::Decision decision = breaker->Admit(now_micros);
   if (decision == CircuitBreaker::Decision::kFastFail) {
-    stats_.fast_fails.fetch_add(1, std::memory_order_relaxed);
+    counters_->breaker_fast_fails.fetch_add(1);
   } else if (decision == CircuitBreaker::Decision::kProbe) {
-    stats_.half_open_probes.fetch_add(1, std::memory_order_relaxed);
+    counters_->breaker_half_open_probes.fetch_add(1);
   }
   return decision;
 }
@@ -134,7 +134,7 @@ CircuitBreaker::Decision CircuitBreakerRegistry::Admit(
 void CircuitBreakerRegistry::RecordSuccess(const std::string& host_key) {
   std::shared_ptr<CircuitBreaker> breaker = FindBreaker(host_key);
   if (breaker != nullptr && breaker->RecordSuccess()) {
-    stats_.closes.fetch_add(1, std::memory_order_relaxed);
+    counters_->breaker_closes.fetch_add(1);
   }
 }
 
@@ -142,7 +142,7 @@ void CircuitBreakerRegistry::RecordFailure(const std::string& host_key,
                                            int64_t now_micros) {
   std::shared_ptr<CircuitBreaker> breaker = FindBreaker(host_key);
   if (breaker != nullptr && breaker->RecordFailure(now_micros)) {
-    stats_.opens.fetch_add(1, std::memory_order_relaxed);
+    counters_->breaker_opens.fetch_add(1);
   }
 }
 

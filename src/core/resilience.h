@@ -1,7 +1,6 @@
 #ifndef DAVIX_CORE_RESILIENCE_H_
 #define DAVIX_CORE_RESILIENCE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -9,6 +8,7 @@
 
 #include "common/mutex.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "core/deadline.h"
 
 namespace davix {
@@ -122,15 +122,6 @@ class CircuitBreaker {
   int64_t probe_started_micros_ GUARDED_BY(mu_) = 0;
 };
 
-/// Monotonic counters of the breaker registry, mirrored into IoCounters
-/// by Context::SnapshotCounters.
-struct CircuitBreakerStats {
-  std::atomic<uint64_t> opens{0};             ///< closed → open transitions
-  std::atomic<uint64_t> closes{0};            ///< open/half-open → closed
-  std::atomic<uint64_t> fast_fails{0};        ///< acquires refused while open
-  std::atomic<uint64_t> half_open_probes{0};  ///< probe slots handed out
-};
-
 /// The per-host breaker table living alongside SessionPool's host
 /// buckets: one CircuitBreaker per "host:port" key, created lazily on
 /// first consult with that request's config (later config changes for an
@@ -142,6 +133,12 @@ struct CircuitBreakerStats {
 /// state has its own lock.
 class CircuitBreakerRegistry {
  public:
+  /// Counts breaker_* transitions into `counters` (the Context's table,
+  /// handed on by its SessionPool).
+  explicit CircuitBreakerRegistry(
+      std::shared_ptr<IoCounters> counters = std::make_shared<IoCounters>())
+      : counters_(std::move(counters)) {}
+
   /// Admission decision for `host_key`, creating the breaker on first
   /// use. A non-positive failure threshold bypasses the table entirely
   /// and admits. Counts fast-fails and probe handouts.
@@ -161,8 +158,6 @@ class CircuitBreakerRegistry {
   std::shared_ptr<CircuitBreaker> FindBreaker(
       const std::string& host_key) const;
 
-  CircuitBreakerStats& stats() { return stats_; }
-
   /// Drops every breaker (counters untouched).
   void Clear();
 
@@ -170,7 +165,7 @@ class CircuitBreakerRegistry {
   mutable Mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<CircuitBreaker>>
       breakers_ GUARDED_BY(mu_);
-  CircuitBreakerStats stats_;
+  std::shared_ptr<IoCounters> counters_;
 };
 
 }  // namespace core

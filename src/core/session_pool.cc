@@ -16,8 +16,9 @@ Session::Session(std::string key, net::TcpSocket socket)
 
 void Session::TouchLastUsed() { last_used_micros_ = MonotonicMicros(); }
 
-SessionPool::SessionPool(SessionPoolConfig config)
-    : config_(config) {}
+SessionPool::SessionPool(SessionPoolConfig config,
+                         std::shared_ptr<IoCounters> counters)
+    : config_(config), counters_(counters), breakers_(std::move(counters)) {}
 
 namespace {
 
@@ -76,16 +77,15 @@ Result<std::unique_ptr<Session>> SessionPool::Acquire(
       while (!bucket.empty()) {
         std::unique_ptr<Session> session = std::move(bucket.back());
         bucket.pop_back();
-        stats_.current_idle.fetch_sub(1, std::memory_order_relaxed);
         if (now - session->last_used_micros() > config_.max_idle_age_micros) {
-          stats_.expired.fetch_add(1, std::memory_order_relaxed);
+          counters_->pool_expired.fetch_add(1);
           continue;
         }
         if (bucket.empty()) idle_.erase(it);
         session->set_recycled(true);
         ApplyReadBudget(*session, params);
-        stats_.recycled.fetch_add(1, std::memory_order_relaxed);
-        stats_.acquire_hits.fetch_add(1, std::memory_order_relaxed);
+        counters_->connections_reused.fetch_add(1);
+        counters_->pool_acquire_hits.fetch_add(1);
         return session;
       }
       // Drained (possibly by ageing every entry out): drop the bucket so
@@ -98,7 +98,7 @@ Result<std::unique_ptr<Session>> SessionPool::Acquire(
   // alive) acquires count as misses; with pooling off there is nothing
   // to hit.
   if (params.keep_alive) {
-    stats_.acquire_misses.fetch_add(1, std::memory_order_relaxed);
+    counters_->pool_acquire_misses.fetch_add(1);
   }
   // Resolve the connect budget here rather than leaning on
   // tcp_socket.cc's 30 s last-resort default, and never let a connect
@@ -117,7 +117,7 @@ Result<std::unique_ptr<Session>> SessionPool::Acquire(
     return socket.status().WithContext("connecting to " + key);
   }
   (void)socket->SetNoDelay(true);
-  stats_.connects.fetch_add(1, std::memory_order_relaxed);
+  counters_->connections_opened.fetch_add(1);
   auto session = std::make_unique<Session>(key, std::move(*socket));
   ApplyReadBudget(*session, params);
   return session;
@@ -135,16 +135,15 @@ void SessionPool::Release(std::unique_ptr<Session> session) {
   MutexLock lock(mu_);
   std::vector<std::unique_ptr<Session>>& bucket = idle_[session->key()];
   if (bucket.size() >= config_.max_idle_per_host) {
-    stats_.discarded.fetch_add(1, std::memory_order_relaxed);
+    counters_->pool_discarded.fetch_add(1);
     return;  // bucket full: drop (unique_ptr closes the socket)
   }
   bucket.push_back(std::move(session));
-  stats_.current_idle.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SessionPool::Discard(std::unique_ptr<Session> session) {
   if (session == nullptr) return;
-  stats_.discarded.fetch_add(1, std::memory_order_relaxed);
+  counters_->pool_discarded.fetch_add(1);
   // unique_ptr destruction closes the socket.
 }
 
@@ -153,8 +152,7 @@ void SessionPool::Clear() {
   size_t dropped = 0;
   for (auto& [key, bucket] : idle_) dropped += bucket.size();
   idle_.clear();
-  stats_.current_idle.store(0, std::memory_order_relaxed);
-  stats_.discarded.fetch_add(dropped, std::memory_order_relaxed);
+  counters_->pool_discarded.fetch_add(dropped);
 }
 
 size_t SessionPool::IdleCount() const {

@@ -1,7 +1,6 @@
 #ifndef DAVIX_CORE_SESSION_POOL_H_
 #define DAVIX_CORE_SESSION_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/uri.h"
 #include "core/request_params.h"
@@ -69,22 +69,6 @@ struct SessionPoolConfig {
   int64_t max_idle_age_micros = 30'000'000;
 };
 
-/// Aggregate pool counters (all monotonic except current_idle).
-struct SessionPoolStats {
-  std::atomic<uint64_t> connects{0};        ///< fresh TCP connections made
-  std::atomic<uint64_t> recycled{0};        ///< sessions served from pool
-  std::atomic<uint64_t> discarded{0};       ///< broken sessions dropped
-  std::atomic<uint64_t> expired{0};         ///< idle sessions aged out
-  std::atomic<uint64_t> current_idle{0};    ///< sessions parked right now
-  /// Contention view of Acquire: a hit found a usable idle session, a
-  /// miss found none (bucket empty, drained by concurrent acquirers, or
-  /// everything aged out) and had to pay a fresh connect. The parallel
-  /// vectored dispatcher bursts N acquires at one host; hits/misses show
-  /// how well the pool absorbs that burst across calls.
-  std::atomic<uint64_t> acquire_hits{0};
-  std::atomic<uint64_t> acquire_misses{0};
-};
-
 /// §2.2 of the paper: "a hybrid solution based on a dynamic connection
 /// pool with a thread-safe query dispatch system and a session recycling
 /// mechanism", with "an aggressive usage of the HTTP KeepAlive feature
@@ -103,7 +87,11 @@ struct SessionPoolStats {
 /// network while holding it — fresh connects happen outside the lock).
 class SessionPool {
  public:
-  explicit SessionPool(SessionPoolConfig config = {});
+  /// Counts into `counters` (the Context's table), and hands it on to
+  /// the breaker registry.
+  explicit SessionPool(
+      SessionPoolConfig config = {},
+      std::shared_ptr<IoCounters> counters = std::make_shared<IoCounters>());
 
   /// Gets a session to `uri`'s host — recycled if possible, freshly
   /// connected otherwise. Consults the host's circuit breaker first:
@@ -138,7 +126,13 @@ class SessionPool {
 
   const SessionPoolConfig& config() const { return config_; }
 
-  SessionPoolStats& stats() { return stats_; }
+  /// The counter table this pool counts into: connections_opened,
+  /// connections_reused and the pool_* lines. An acquire hit found a
+  /// usable idle session, a miss found none (bucket empty, drained by
+  /// concurrent acquirers, or everything aged out) and paid a fresh
+  /// connect; the parallel vectored dispatcher bursts N acquires at one
+  /// host, and hits/misses show how well the pool absorbs that burst.
+  IoCounters& stats() { return *counters_; }
 
   /// The per-host circuit breakers living alongside the host buckets
   /// (one breaker per "host:port" key, shared by every request through
@@ -151,7 +145,7 @@ class SessionPool {
   mutable Mutex mu_;
   std::unordered_map<std::string, std::vector<std::unique_ptr<Session>>>
       idle_ GUARDED_BY(mu_);
-  SessionPoolStats stats_;
+  std::shared_ptr<IoCounters> counters_;
   CircuitBreakerRegistry breakers_;
 };
 

@@ -60,10 +60,10 @@ TEST(BlockCacheTest, DisabledCacheNoOps) {
   EXPECT_FALSE(cache.TryReadFull("k", 0, kBlock, &out));
   std::string buf(kBlock, '\0');
   EXPECT_EQ(cache.ReadPrefix("k", 0, kBlock, buf.data()), 0u);
-  BlockCacheCounters counters = cache.Snapshot();
-  EXPECT_EQ(counters.insertions, 0u);
-  EXPECT_EQ(counters.hits, 0u);
-  EXPECT_EQ(counters.misses, 0u);
+  IoCounters counters = cache.stats();
+  EXPECT_EQ(counters.cache_insertions, 0u);
+  EXPECT_EQ(counters.cache_hits, 0u);
+  EXPECT_EQ(counters.cache_misses, 0u);
 }
 
 TEST(BlockCacheTest, InsertsOnlyFullyCoveredBlocks) {
@@ -72,7 +72,7 @@ TEST(BlockCacheTest, InsertsOnlyFullyCoveredBlocks) {
   // Span [100, 100 + 3 blocks): covers blocks 1 and 2 fully, 0 and 3
   // partially — only 1 and 2 become cache lines.
   cache.Insert("k", V("\"e1\""), 100, data);
-  EXPECT_EQ(cache.Snapshot().insertions, 2u);
+  EXPECT_EQ(cache.stats().cache_insertions, 2u);
 
   std::string out;
   EXPECT_FALSE(cache.TryReadFull("k", 0, kBlock, &out));
@@ -87,7 +87,7 @@ TEST(BlockCacheTest, FinalShortBlockRequiresKnownSize) {
 
   // Without total_size the trailing 700 bytes are not provably final.
   cache.Insert("k1", V("\"e\""), 0, data);
-  EXPECT_EQ(cache.Snapshot().insertions, 2u);
+  EXPECT_EQ(cache.stats().cache_insertions, 2u);
   std::string out;
   EXPECT_FALSE(cache.TryReadFull("k1", 2 * kBlock, 700, &out));
 
@@ -139,7 +139,7 @@ TEST(BlockCacheTest, LruEvictionUnderMemoryPressure) {
   std::string data = Pattern(8 * kBlock);
   cache.Insert("k", V("\"e\""), 0, std::string_view(data).substr(0, 4 * kBlock),
                8 * kBlock);
-  EXPECT_EQ(cache.Snapshot().resident_blocks, 4u);
+  EXPECT_EQ(cache.Residency().resident_blocks, 4u);
 
   // Touch block 0 so block 1 is the LRU tail, then insert two more.
   std::string out;
@@ -148,9 +148,9 @@ TEST(BlockCacheTest, LruEvictionUnderMemoryPressure) {
                std::string_view(data).substr(4 * kBlock, 2 * kBlock),
                8 * kBlock);
 
-  BlockCacheCounters counters = cache.Snapshot();
+  BlockCacheResidency counters = cache.Residency();
   EXPECT_EQ(counters.resident_blocks, 4u);
-  EXPECT_EQ(counters.evictions, 2u);
+  EXPECT_EQ(cache.stats().cache_evictions, 2u);
   EXPECT_LE(counters.resident_bytes, 4 * kBlock);
   EXPECT_TRUE(cache.TryReadFull("k", 0, kBlock, &out));   // recently touched
   EXPECT_FALSE(cache.TryReadFull("k", kBlock, kBlock, &out));  // evicted
@@ -164,7 +164,7 @@ TEST(BlockCacheTest, OversizedBlockNeverCached) {
   config.shards = 1;
   BlockCache cache(config);
   cache.Insert("k", V("\"e\""), 0, Pattern(4 * kBlock), 4 * kBlock);
-  EXPECT_EQ(cache.Snapshot().resident_blocks, 0u);
+  EXPECT_EQ(cache.Residency().resident_blocks, 0u);
 }
 
 TEST(BlockCacheTest, ValidatorMismatchInvalidates) {
@@ -183,7 +183,7 @@ TEST(BlockCacheTest, ValidatorMismatchInvalidates) {
   EXPECT_TRUE(cache.NoteValidator("k", V("\"gen2\"")));
   EXPECT_FALSE(cache.HasUrl("k"));
   EXPECT_FALSE(cache.TryReadFull("k", 0, 2 * kBlock, &out));
-  EXPECT_EQ(cache.Snapshot().invalidations, 2u);
+  EXPECT_EQ(cache.stats().cache_invalidations, 2u);
 
   // A fill of the new generation mixes with nothing old.
   cache.Insert("k", V("\"gen2\""), 0, v2, 2 * kBlock);
@@ -253,7 +253,7 @@ TEST(BlockCacheTest, ConcurrentFillLookupEvictInvalidate) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_FALSE(corrupt.load());
-  BlockCacheCounters counters = cache.Snapshot();
+  BlockCacheResidency counters = cache.Residency();
   EXPECT_LE(counters.resident_bytes, 8 * kBlock);
 }
 
@@ -539,8 +539,8 @@ TEST_F(BlockCacheIntegrationTest, EvictionPressureKeepsReadsCorrect) {
                          posix.PRead(fd, 0, content_.size()));
     EXPECT_EQ(all, content_);
   }
-  BlockCacheCounters counters = context.block_cache().Snapshot();
-  EXPECT_GT(counters.evictions, 0u);
+  BlockCacheResidency counters = context.block_cache().Residency();
+  EXPECT_GT(context.block_cache().stats().cache_evictions, 0u);
   EXPECT_LE(counters.resident_bytes, tiny.capacity_bytes);
   ASSERT_OK(posix.Close(fd));
 }

@@ -100,9 +100,9 @@ TEST(ConcurrencyStressTest, BlockCacheEvictionRacesFillsUnder16Threads) {
   }
   for (std::thread& t : threads) t.join();
 
-  BlockCacheCounters stats = cache.Snapshot();
+  BlockCacheResidency stats = cache.Residency();
   EXPECT_LE(stats.resident_bytes, config.capacity_bytes);
-  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(cache.stats().cache_evictions, 0u);
   EXPECT_GT(verified_hits.load(), 0u);
 }
 

@@ -153,10 +153,10 @@ TEST_F(DavFileTest, ParallelDispatchMultipleBatchesInFlight) {
   EXPECT_EQ(context.SnapshotCounters().vector_queries, 4u);
   EXPECT_EQ(server.handler->stats().multirange_requests.load(), 4u);
   // The concurrent burst drew several connections to the one host...
-  EXPECT_GE(context.pool().stats().connects.load(), 2u);
+  EXPECT_GE(context.pool().stats().connections_opened.load(), 2u);
   // ...and parked every one of them back for recycling afterwards.
   EXPECT_EQ(context.pool().IdleCount(),
-            context.pool().stats().connects.load());
+            context.pool().stats().connections_opened.load());
 }
 
 TEST_F(DavFileTest, ParallelFallbackWhenServerLacksMultirange) {

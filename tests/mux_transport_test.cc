@@ -10,6 +10,7 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/context.h"
 #include "core/http_client.h"
 #include "httpd/dav_handler.h"
@@ -293,6 +294,32 @@ class MuxTransportTest : public ::testing::Test {
     return *Uri::Parse(server_->BaseUrl() + path);
   }
 
+  /// Runs `calls` GETs of `url` on a fresh Context, one dispatcher
+  /// thread each, so all reach a host with no connection at once.
+  /// Returns their outcomes.
+  std::vector<Status> Burst(int calls, const Uri& url,
+                            const core::RequestParams& params) {
+    context_ = std::make_unique<core::Context>(core::SessionPoolConfig{},
+                                               calls);
+    core::HttpClient client(context_.get());
+    std::vector<Status> outcomes(calls);
+    ParallelFor(&context_->dispatcher(), calls, calls, [&](size_t i) {
+      outcomes[i] = client.Execute(url, http::Method::kGet, params).status();
+    });
+    return outcomes;
+  }
+
+  /// A GET handler that sleeps 200 ms, so a burst is all in flight at
+  /// once.
+  void AddNap() {
+    router_->Handle(http::Method::kGet, "/nap",
+                    [](const http::HttpRequest&, http::HttpResponse* response) {
+                      SleepForMicros(200'000);
+                      response->status_code = 200;
+                      response->body = "nap";
+                    });
+  }
+
   std::shared_ptr<httpd::ObjectStore> store_;
   std::string content_;
   std::shared_ptr<httpd::Router> router_;
@@ -391,11 +418,11 @@ TEST_F(MuxTransportTest, ClearFailsExchangesInFlight) {
     });
   }
   // Every call is waiting on its stream before the transport clears.
-  for (int i = 0; i < 200 && transport.stats().streams_opened.load() < kCalls;
-       ++i) {
+  for (int i = 0;
+       i < 200 && transport.stats().mux_streams_opened.load() < kCalls; ++i) {
     SleepForMicros(5'000);
   }
-  ASSERT_EQ(transport.stats().streams_opened.load(),
+  ASSERT_EQ(transport.stats().mux_streams_opened.load(),
             static_cast<uint64_t>(kCalls));
   transport.Clear();
   for (std::thread& thread : threads) thread.join();
@@ -437,6 +464,60 @@ TEST_F(MuxTransportTest, BreakerFastFailsThroughTheSeam) {
   EXPECT_NE(fast_fail.status().ToString().find("circuit breaker open"),
             std::string::npos)
       << fast_fail.status().ToString();
+}
+
+TEST_F(MuxTransportTest, BurstOfFirstRequestsSharesOneDial) {
+  // Eight first requests fit one connection's eight stream slots: the
+  // seven that find its dial in flight wait for it instead of dialing.
+  // Repeated, since a burst only sometimes lands inside the dial.
+  AddNap();
+  core::RequestParams params = params_;
+  params.mux_max_streams_per_connection = 8;
+  params.mux_max_connections_per_host = 4;
+  for (int rep = 0; rep < 5; ++rep) {
+    for (const Status& status : Burst(8, UrlFor("/nap"), params)) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    IoCounters counters = context_->SnapshotCounters();
+    EXPECT_EQ(counters.mux_connections_opened, 1u);
+    EXPECT_EQ(counters.mux_backpressure_waits, 0u);
+  }
+}
+
+TEST_F(MuxTransportTest, BurstDialsOnePerStreamSlotsFilled) {
+  AddNap();
+  core::RequestParams params = params_;
+  params.mux_max_streams_per_connection = 8;
+  params.mux_max_connections_per_host = 4;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const Status& status : Burst(16, UrlFor("/nap"), params)) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    EXPECT_LE(context_->SnapshotCounters().mux_connections_opened, 2u);
+  }
+}
+
+TEST_F(MuxTransportTest, FailedDialWakesItsWaiters) {
+  // Four first requests at a dead port: the three waiting on the first
+  // dial wake when it fails, dial in turn, and fail within budget.
+  uint16_t dead_port = 0;
+  {
+    auto listener = net::TcpListener::Listen(0);
+    ASSERT_TRUE(listener.ok());
+    dead_port = listener->port();
+  }
+  core::RequestParams params = params_;
+  params.max_retries = 0;
+  params.total_timeout_micros = 2'000'000;
+  Uri dead = *Uri::Parse("http://127.0.0.1:" + std::to_string(dead_port) +
+                         "/x");
+  Stopwatch stopwatch;
+  for (const Status& status : Burst(4, dead, params)) {
+    EXPECT_EQ(status.code(), StatusCode::kConnectionFailed)
+        << status.ToString();
+  }
+  EXPECT_LT(stopwatch.ElapsedMicros(), 2'000'000);
+  EXPECT_EQ(context_->SnapshotCounters().mux_connections_opened, 0u);
 }
 
 }  // namespace

@@ -33,15 +33,15 @@ TEST_F(SessionPoolTest, AcquireConnectsThenRecycles) {
   SessionPool pool;
   ASSERT_OK_AND_ASSIGN(auto session, pool.Acquire(uri_, params_));
   EXPECT_FALSE(session->recycled());
-  EXPECT_EQ(pool.stats().connects.load(), 1u);
+  EXPECT_EQ(pool.stats().connections_opened.load(), 1u);
 
   pool.Release(std::move(session));
   EXPECT_EQ(pool.IdleCount(), 1u);
 
   ASSERT_OK_AND_ASSIGN(auto again, pool.Acquire(uri_, params_));
   EXPECT_TRUE(again->recycled());
-  EXPECT_EQ(pool.stats().connects.load(), 1u);
-  EXPECT_EQ(pool.stats().recycled.load(), 1u);
+  EXPECT_EQ(pool.stats().connections_opened.load(), 1u);
+  EXPECT_EQ(pool.stats().connections_reused.load(), 1u);
   EXPECT_EQ(pool.IdleCount(), 0u);
 }
 
@@ -52,7 +52,7 @@ TEST_F(SessionPoolTest, KeepAliveDisabledNeverRecycles) {
   pool.Release(std::move(first));
   ASSERT_OK_AND_ASSIGN(auto second, pool.Acquire(uri_, params_));
   EXPECT_FALSE(second->recycled());
-  EXPECT_EQ(pool.stats().connects.load(), 2u);
+  EXPECT_EQ(pool.stats().connections_opened.load(), 2u);
 }
 
 TEST_F(SessionPoolTest, BucketsAreKeyedByHostPort) {
@@ -94,7 +94,7 @@ TEST_F(SessionPoolTest, IdleExpiry) {
   SleepForMicros(30'000);
   ASSERT_OK_AND_ASSIGN(auto fresh, pool.Acquire(uri_, params_));
   EXPECT_FALSE(fresh->recycled());
-  EXPECT_EQ(pool.stats().expired.load(), 1u);
+  EXPECT_EQ(pool.stats().pool_expired.load(), 1u);
 }
 
 TEST_F(SessionPoolTest, MaxIdlePerHostBounded) {
@@ -108,7 +108,7 @@ TEST_F(SessionPoolTest, MaxIdlePerHostBounded) {
   }
   for (auto& session : sessions) pool.Release(std::move(session));
   EXPECT_EQ(pool.IdleCount(), 2u);
-  EXPECT_EQ(pool.stats().discarded.load(), 2u);
+  EXPECT_EQ(pool.stats().pool_discarded.load(), 2u);
 }
 
 TEST_F(SessionPoolTest, DrainedBucketsAreErased) {
@@ -141,18 +141,18 @@ TEST_F(SessionPoolTest, HitAndMissCounters) {
   SessionPool pool;
   // Cold pool: miss.
   ASSERT_OK_AND_ASSIGN(auto first, pool.Acquire(uri_, params_));
-  EXPECT_EQ(pool.stats().acquire_misses.load(), 1u);
-  EXPECT_EQ(pool.stats().acquire_hits.load(), 0u);
+  EXPECT_EQ(pool.stats().pool_acquire_misses.load(), 1u);
+  EXPECT_EQ(pool.stats().pool_acquire_hits.load(), 0u);
   pool.Release(std::move(first));
   // Warm pool: hit.
   ASSERT_OK_AND_ASSIGN(auto second, pool.Acquire(uri_, params_));
-  EXPECT_EQ(pool.stats().acquire_hits.load(), 1u);
-  EXPECT_EQ(pool.stats().acquire_misses.load(), 1u);
+  EXPECT_EQ(pool.stats().pool_acquire_hits.load(), 1u);
+  EXPECT_EQ(pool.stats().pool_acquire_misses.load(), 1u);
   // Keep-alive off: pooling is bypassed, neither hit nor miss.
   params_.keep_alive = false;
   ASSERT_OK_AND_ASSIGN(auto third, pool.Acquire(uri_, params_));
-  EXPECT_EQ(pool.stats().acquire_hits.load(), 1u);
-  EXPECT_EQ(pool.stats().acquire_misses.load(), 1u);
+  EXPECT_EQ(pool.stats().pool_acquire_hits.load(), 1u);
+  EXPECT_EQ(pool.stats().pool_acquire_misses.load(), 1u);
 }
 
 TEST_F(SessionPoolTest, BurstAcquireToOneHostCountsMisses) {
@@ -176,7 +176,7 @@ TEST_F(SessionPoolTest, BurstAcquireToOneHostCountsMisses) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(pool.stats().acquire_misses.load(), kBurst);
+  EXPECT_EQ(pool.stats().pool_acquire_misses.load(), kBurst);
   for (auto& session : sessions) pool.Release(std::move(session));
 
   threads.clear();
@@ -192,8 +192,8 @@ TEST_F(SessionPoolTest, BurstAcquireToOneHostCountsMisses) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(pool.stats().acquire_hits.load(), kBurst);
-  EXPECT_EQ(pool.stats().acquire_misses.load(), kBurst);
+  EXPECT_EQ(pool.stats().pool_acquire_hits.load(), kBurst);
+  EXPECT_EQ(pool.stats().pool_acquire_misses.load(), kBurst);
 }
 
 TEST_F(SessionPoolTest, ClearDropsEverything) {
@@ -233,7 +233,8 @@ TEST_F(SessionPoolTest, ConcurrentAcquireReleaseStress) {
   EXPECT_EQ(failures.load(), 0);
   // The pool never grows beyond the peak concurrency.
   EXPECT_LE(pool.IdleCount(), 8u);
-  EXPECT_EQ(pool.stats().connects.load() + pool.stats().recycled.load(),
+  EXPECT_EQ(pool.stats().connections_opened.load() +
+                pool.stats().connections_reused.load(),
             8u * 25u);
 }
 
@@ -272,7 +273,7 @@ TEST_F(HttpClientTest, StaleRecycledConnectionIsReplayedTransparently) {
   ASSERT_OK_AND_ASSIGN(auto second,
                        client_->Execute(uri, http::Method::kGet, params_));
   EXPECT_EQ(second.response.status_code, 200);
-  EXPECT_EQ(context_->pool().stats().recycled.load(), 1u);
+  EXPECT_EQ(context_->pool().stats().connections_reused.load(), 1u);
   EXPECT_EQ(server_.server->stats().connections_accepted.load(), 1u);
 }
 
