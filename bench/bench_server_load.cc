@@ -563,10 +563,12 @@ int main(int argc, char** argv) {
   // seam; every request must complete and the whole fleet must fit in
   // the transport's per-host framed-connection budget. A full run
   // repeats the leg 5 times (--smoke: once), checks its gates on every
-  // rep, and reports the median time with min and max.
+  // rep, and reports the median time with min and max. A full rep is
+  // 16000 exchanges, long enough (about a third of a second) for its
+  // median to hold still between runs of one tree.
   {
     const int mux_threads = args.smoke ? 4 : 8;
-    const int mux_requests_per_thread = args.smoke ? 25 : 200;
+    const int mux_requests_per_thread = args.smoke ? 25 : 2000;
     const uint64_t mux_connection_budget = 4;
     const int reps = args.smoke ? 1 : 5;
     const uint64_t expected =

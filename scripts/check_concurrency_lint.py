@@ -7,7 +7,8 @@ Seven rules, enforced with nothing but the standard library:
      implement the threading substrate itself (ThreadPool) or a
      documented thread-per-connection / reader-loop design (the one
      client reader loop is net/demux_connection.{h,cc}, under both
-     multiplexed clients);
+     multiplexed clients; the one framed server core is
+     net/frame_server.{h,cc}, under both framed servers);
   2. no `.detach()` anywhere — every thread is joined by an owner;
   3. no `std::mutex` / `std::lock_guard` / `std::unique_lock` /
      `std::condition_variable` under src/ outside common/mutex.h: all
@@ -33,14 +34,15 @@ Seven rules, enforced with nothing but the standard library:
      in that directory means somebody is sharing ServerConnection
      across threads again;
   7. multiplexed frame writes are serialized: in src/muxhttp/,
-     src/net/demux_connection.{h,cc}, src/core/mux_transport.{h,cc} and
-     src/xrootd/xrd_client.{h,cc} a raw `socket->WriteAll(...)` may
-     appear only inside a helper named `*Locked` whose declaration (in
-     the same file or its .h/.cc sibling) carries a REQUIRES(...)
-     capability annotation.  Frames from concurrent streams interleave
-     on one connection, so an unguarded write tears frames mid-header.
-     On the client side the one such helper is DemuxConnection's, so
-     both protocol layers send through it.
+     src/net/demux_connection.{h,cc}, src/net/frame_server.{h,cc},
+     src/core/mux_transport.{h,cc} and src/xrootd/xrd_{client,server}.
+     {h,cc} a raw `socket->WriteAll(...)` may appear only inside a
+     helper named `*Locked` whose declaration (in the same file or its
+     .h/.cc sibling) carries a REQUIRES(...) capability annotation.
+     Frames from concurrent streams interleave on one connection, so an
+     unguarded write tears frames mid-header. The client side's one
+     such helper is DemuxConnection's and the server side's is
+     FrameConnection's, so every protocol layer sends through them.
 
 Exit status 0 = clean, 1 = violations (listed on stderr).
 """
@@ -58,12 +60,10 @@ ALLOWED_STD_THREAD = {
     "src/common/thread_pool.cc",
     "src/httpd/server.h",          # the single reactor thread (rule 6)
     "src/httpd/server.cc",
-    "src/muxhttp/mux.h",           # accept + per-connection threads
-    "src/muxhttp/mux.cc",
     "src/net/demux_connection.h",  # the client reader loop (mux, xrd)
     "src/net/demux_connection.cc",
-    "src/xrootd/xrd_server.h",     # thread-per-connection
-    "src/xrootd/xrd_server.cc",
+    "src/net/frame_server.h",      # accept + thread-per-connection (mux,
+    "src/net/frame_server.cc",     # xrd servers)
 }
 
 RAW_LOCKING_RE = re.compile(
@@ -82,8 +82,8 @@ DISPATCH_RE = re.compile(
     r"ReadAheadStream\s+\w+|std::make_unique<ReadAheadStream>)\s*\(")
 # Rule 7: files whose socket writes carry interleaved frames.
 MUX_WRITE_FILES_RE = re.compile(
-    r"^src/(muxhttp/|(net/demux_connection|core/mux_transport|"
-    r"xrootd/xrd_client)\.(h|cc)$)")
+    r"^src/(muxhttp/|(net/demux_connection|net/frame_server|"
+    r"core/mux_transport|xrootd/xrd_client|xrootd/xrd_server)\.(h|cc)$)")
 WRITE_ALL_RE = re.compile(r"\bWriteAll\s*\(")
 MUTATION_RE = re.compile(
     r"(?:\+\+|--)\s*([A-Za-z_]\w*)\b|\b([A-Za-z_]\w*)\s*(?:\+\+|--|\+=|-=)")

@@ -517,8 +517,9 @@ void HttpServer::StartResponse(ServerConnection* conn, Completion completion,
 
   // Shaping becomes a timer: the exchange's modelled delay is the
   // instant the first response byte may hit the socket.
-  int64_t ready = conn->shaper.ScheduleResponse(
-      now, conn->request_bytes, static_cast<int64_t>(conn->out.size()));
+  netsim::ConnectionShaper::ExchangePlan plan = conn->shaper.PlanExchange(
+      conn->request_bytes, static_cast<int64_t>(conn->out.size()));
+  int64_t ready = now + plan.latency_micros + plan.bandwidth_micros;
   conn->write_ready_at = ready > now ? ready : 0;
   conn->write_progress_at = ready > now ? 0 : now;
 

@@ -4,16 +4,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
 #include "httpd/router.h"
 #include "muxhttp/frame.h"
-#include "net/tcp_socket.h"
+#include "net/frame_server.h"
 #include "netsim/fault_injector.h"
 #include "netsim/link_profile.h"
 
@@ -56,7 +52,8 @@ struct MuxServerStats {
 /// the same Router type the plain HTTP server uses (so a DavHandler
 /// serves both protocols), and answers out of order — responses are
 /// chunked into DATA frames that interleave across streams, so a large
-/// response never head-of-line blocks a small one.
+/// response never head-of-line blocks a small one. A protocol layer
+/// over net::FrameServer.
 ///
 /// Thread-safe: yes — Stop() may be called concurrently from any number
 /// of threads; each returns only once teardown has completed.
@@ -65,13 +62,11 @@ class MuxServer {
   static Result<std::unique_ptr<MuxServer>> Start(
       MuxServerConfig config, std::shared_ptr<httpd::Router> router);
 
-  ~MuxServer();
-
   MuxServer(const MuxServer&) = delete;
   MuxServer& operator=(const MuxServer&) = delete;
 
-  void Stop();
-  uint16_t port() const { return listener_.port(); }
+  void Stop() { core_->Stop(); }
+  uint16_t port() const { return core_->port(); }
   /// Plain http:// URL — the mux protocol is an alternative transport
   /// for the same namespace, selected by RequestParams::transport.
   std::string BaseUrl() const;
@@ -80,22 +75,20 @@ class MuxServer {
  private:
   MuxServer(MuxServerConfig config, std::shared_ptr<httpd::Router> router);
 
-  void AcceptLoop();
-  void HandleConnection(net::TcpSocket socket);
+  /// Reads one connection's frames until it ends; each request is
+  /// answered on a worker. `active_exchanges` counts the connection's
+  /// requests answered or in flight on its workers.
+  void Serve(net::FrameConnection& conn,
+             std::atomic<int64_t>& active_exchanges);
+  void Answer(net::FrameConnection& conn, uint32_t stream_id,
+              http::HttpRequest request, int64_t request_bytes);
 
   MuxServerConfig config_;
   std::shared_ptr<httpd::Router> router_;
-  net::TcpListener listener_;
   MuxServerStats stats_;
-
-  std::atomic<bool> stopping_{false};
-  /// Serialises Stop() callers; Start()'s write of accept_thread_ takes
-  /// it purely for the annotation (no Stop() can race construction).
-  Mutex stop_mu_;
-  std::thread accept_thread_ GUARDED_BY(stop_mu_);
-  Mutex conn_mu_;
-  std::vector<std::thread> connection_threads_ GUARDED_BY(conn_mu_);
-  std::set<int> active_fds_ GUARDED_BY(conn_mu_);
+  /// Declared last: destroyed (stopped) first, while the members its
+  /// connection threads use are still alive.
+  std::unique_ptr<net::FrameServer> core_;
 };
 
 }  // namespace muxhttp

@@ -251,18 +251,6 @@ Result<TcpListener> TcpListener::Listen(uint16_t port, int backlog) {
   return listener;
 }
 
-Result<TcpSocket> TcpListener::Accept(int64_t timeout_micros) {
-  if (!IsOpen()) return Status::ConnectionReset("accept on closed listener");
-  Status st = PollFd(fd_, POLLIN, timeout_micros);
-  if (!st.ok()) return st;
-  while (true) {
-    int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) return TcpSocket(fd);
-    if (errno == EINTR) continue;
-    return ErrnoStatus("accept", errno);
-  }
-}
-
 Status TcpListener::SetNonBlocking(bool enabled) {
   if (!IsOpen()) return Status::ConnectionReset("fcntl on closed listener");
   int flags = fcntl(fd_, F_GETFL, 0);

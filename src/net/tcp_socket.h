@@ -86,10 +86,6 @@ class TcpListener {
   /// Binds and listens on 127.0.0.1:`port`.
   static Result<TcpListener> Listen(uint16_t port, int backlog = 64);
 
-  /// Accepts one connection. Blocks up to `timeout_micros` (0 = forever);
-  /// times out with kTimeout so accept loops can poll a stop flag.
-  Result<TcpSocket> Accept(int64_t timeout_micros = 0);
-
   /// Puts the listening fd in O_NONBLOCK mode (for reactor accept loops).
   Status SetNonBlocking(bool enabled);
 

@@ -8,40 +8,9 @@ namespace netsim {
 ConnectionShaper::ConnectionShaper(LinkProfile profile)
     : profile_(std::move(profile)), cwnd_bytes_(profile_.init_cwnd_bytes) {}
 
-int64_t ConnectionShaper::OnRequestReceived(int64_t request_bytes) {
-  if (profile_.IsNullLink()) return 0;
-  int64_t delay = 0;
-  if (!handshake_done_) {
-    delay += profile_.connect_handshake_rtts * profile_.rtt_micros;
-    handshake_done_ = true;
-  }
-  // Upstream propagation: half an RTT plus serialisation of the request.
-  delay += profile_.rtt_micros / 2;
-  if (profile_.bandwidth_bytes_per_sec > 0) {
-    delay += request_bytes * 1'000'000 / profile_.bandwidth_bytes_per_sec;
-  }
-  return delay;
-}
-
-int64_t ConnectionShaper::OnResponseSend(int64_t response_bytes) {
-  ++exchanges_;
-  if (profile_.IsNullLink()) return 0;
-  int64_t delay = profile_.rtt_micros / 2;  // downstream propagation
-  delay += TransferMicros(profile_, response_bytes, &cwnd_bytes_);
-  return delay;
-}
-
-int64_t ConnectionShaper::ScheduleResponse(int64_t now_micros,
-                                           int64_t request_bytes,
-                                           int64_t response_bytes) {
-  return now_micros + OnRequestReceived(request_bytes) +
-         OnResponseSend(response_bytes);
-}
-
 ConnectionShaper::ExchangePlan ConnectionShaper::PlanExchange(
     int64_t request_bytes, int64_t response_bytes) {
   ExchangePlan plan;
-  ++exchanges_;
   if (profile_.IsNullLink()) return plan;
   if (!handshake_done_) {
     plan.latency_micros +=

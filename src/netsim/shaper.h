@@ -10,50 +10,29 @@ namespace netsim {
 
 /// Per-connection TCP behaviour model.
 ///
-/// A server owns one ConnectionShaper per accepted connection and sleeps
-/// for the durations this class computes, turning loopback sockets into a
-/// deterministic simulation of a wide-area TCP connection:
+/// A server owns one ConnectionShaper per accepted connection and delays
+/// each response by the plan this class computes, turning loopback
+/// sockets into a deterministic simulation of a wide-area TCP connection:
 ///
 ///  - connection establishment costs `connect_handshake_rtts` RTTs,
-///  - each request costs half an RTT of upstream propagation,
-///  - each response costs half an RTT plus serialisation, sent in
-///    congestion-window-sized bursts with one RTT between bursts,
+///  - each exchange costs one RTT of propagation (half up, half down),
+///    plus serialisation of the request and of the response, the latter
+///    sent in congestion-window-sized bursts with one RTT between bursts,
 ///  - the congestion window starts at `init_cwnd_bytes`, doubles per burst
 ///    (slow start) and is capped at `max_cwnd_bytes`,
 ///  - the window persists across requests on the same connection, which is
 ///    precisely the benefit of HTTP keep-alive / session recycling that
 ///    §2.2 of the paper exploits.
 ///
-/// All methods only do arithmetic; the caller decides when to sleep. That
-/// keeps the model unit-testable with no wall-clock dependence.
+/// All methods only do arithmetic; the caller decides when to sleep or
+/// arm a timer. That keeps the model unit-testable with no wall-clock
+/// dependence.
 class ConnectionShaper {
  public:
   explicit ConnectionShaper(LinkProfile profile);
 
-  /// Delay (µs) to apply when a request of `request_bytes` arrives.
-  /// The first call on a connection also pays the handshake cost.
-  int64_t OnRequestReceived(int64_t request_bytes);
-
-  /// Delay (µs) to apply before writing a response of `response_bytes`,
-  /// advancing the congestion window as a side effect.
-  int64_t OnResponseSend(int64_t response_bytes);
-
-  /// Non-blocking variant for reactor-style servers that never sleep:
-  /// given the loop's current clock `now_micros`, accounts one full
-  /// request/response exchange (OnRequestReceived + OnResponseSend) and
-  /// returns the absolute instant at which the response bytes become
-  /// eligible to hit the socket. The caller arms a timer instead of
-  /// sleeping; on a null link this is simply `now_micros`.
-  int64_t ScheduleResponse(int64_t now_micros, int64_t request_bytes,
-                           int64_t response_bytes);
-
   /// Current congestion window in bytes.
   int64_t cwnd_bytes() const { return cwnd_bytes_; }
-
-  /// Number of request/response exchanges seen on this connection.
-  int64_t exchanges() const { return exchanges_; }
-
-  const LinkProfile& profile() const { return profile_; }
 
   /// Models the transfer time (µs) of `bytes` on `profile` for a
   /// connection whose current window is `cwnd` (updated in place).
@@ -61,12 +40,12 @@ class ConnectionShaper {
   static int64_t TransferMicros(const LinkProfile& profile, int64_t bytes,
                                 int64_t* cwnd);
 
-  /// Delay decomposition for one request/response exchange, for servers
-  /// that interleave many exchanges on one connection (multiplexing).
-  /// The latency component models propagation (and the one-time
-  /// handshake): concurrent exchanges overlap it. The bandwidth component
-  /// models serialisation on the shared link: the caller must serialise
-  /// it (e.g. sleep while holding the connection's write lock).
+  /// Delay decomposition for one request/response exchange. The latency
+  /// component models propagation (and the one-time handshake):
+  /// concurrent exchanges on a multiplexed connection overlap it. The
+  /// bandwidth component models serialisation on the shared link: the
+  /// caller must serialise it (e.g. sleep while holding the connection's
+  /// write lock). A caller with one exchange in flight charges the sum.
   struct ExchangePlan {
     int64_t latency_micros = 0;
     int64_t bandwidth_micros = 0;
@@ -79,7 +58,6 @@ class ConnectionShaper {
  private:
   LinkProfile profile_;
   int64_t cwnd_bytes_;
-  int64_t exchanges_ = 0;
   bool handshake_done_ = false;
 };
 

@@ -4,18 +4,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
 #include "httpd/object_store.h"
-#include "net/tcp_socket.h"
+#include "net/frame_server.h"
 #include "netsim/fault_injector.h"
 #include "netsim/link_profile.h"
+#include "xrootd/frame.h"
 
 namespace davix {
 namespace xrootd {
@@ -45,10 +41,11 @@ struct XrdServerStats {
 /// Baseline data server speaking the framed protocol of frame.h.
 ///
 /// Requests from one connection are decoded by a reader loop and executed
-/// by detached worker tasks, so responses can overlap and complete out of
-/// order — the protocol-level multiplexing (no head-of-line blocking)
-/// that §2.2 credits XRootD with. Traffic shaping splits each exchange
-/// into an overlappable latency part and a serialised bandwidth part.
+/// by the connection's pool tasks, so responses can overlap and complete
+/// out of order — the protocol-level multiplexing (no head-of-line
+/// blocking) that §2.2 credits XRootD with. Traffic shaping splits each
+/// exchange into an overlappable latency part and a serialised bandwidth
+/// part. A protocol layer over net::FrameServer.
 ///
 /// Serves objects from the same ObjectStore type as the HTTP server, so
 /// benchmarks can point both protocols at identical content.
@@ -60,14 +57,12 @@ class XrdServer {
   static Result<std::unique_ptr<XrdServer>> Start(
       XrdServerConfig config, std::shared_ptr<httpd::ObjectStore> store);
 
-  ~XrdServer();
-
   XrdServer(const XrdServer&) = delete;
   XrdServer& operator=(const XrdServer&) = delete;
 
-  void Stop();
+  void Stop() { core_->Stop(); }
 
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return core_->port(); }
   /// "root://127.0.0.1:<port>".
   std::string BaseUrl() const;
 
@@ -75,25 +70,23 @@ class XrdServer {
   netsim::FaultInjector& faults() { return faults_; }
 
  private:
+  struct OpenFiles;
+  struct Reply;
+
   XrdServer(XrdServerConfig config, std::shared_ptr<httpd::ObjectStore> store);
 
-  void AcceptLoop();
-  void HandleConnection(net::TcpSocket socket);
+  /// Reads one connection's frames until it ends; each request is
+  /// answered on a worker.
+  void Serve(net::FrameConnection& conn, OpenFiles& files);
+  Reply Answer(OpenFiles& files, const Frame& frame);
 
   XrdServerConfig config_;
   std::shared_ptr<httpd::ObjectStore> store_;
-  net::TcpListener listener_;
   netsim::FaultInjector faults_;
   XrdServerStats stats_;
-
-  std::atomic<bool> stopping_{false};
-  /// Serialises Stop() callers; Start()'s write of accept_thread_ takes
-  /// it purely for the annotation (no Stop() can race construction).
-  Mutex stop_mu_;
-  std::thread accept_thread_ GUARDED_BY(stop_mu_);
-  Mutex conn_mu_;
-  std::vector<std::thread> connection_threads_ GUARDED_BY(conn_mu_);
-  std::set<int> active_fds_ GUARDED_BY(conn_mu_);
+  /// Declared last: destroyed (stopped) first, while the members its
+  /// connection threads use are still alive.
+  std::unique_ptr<net::FrameServer> core_;
 };
 
 }  // namespace xrootd

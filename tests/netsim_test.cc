@@ -32,36 +32,21 @@ TEST(LinkProfileTest, SteadyStateThroughputWindowLimited) {
 
 TEST(ShaperTest, NullLinkCostsNothing) {
   ConnectionShaper shaper(LinkProfile::Loopback());
-  EXPECT_EQ(shaper.OnRequestReceived(1000), 0);
-  EXPECT_EQ(shaper.OnResponseSend(1 << 20), 0);
-}
-
-TEST(ShaperTest, ScheduleResponseMatchesBlockingDelays) {
-  // The reactor-facing variant must charge exactly what the blocking
-  // pair would, expressed as an absolute deadline against `now`.
-  LinkProfile lan = LinkProfile::Lan();
-  ConnectionShaper timed(lan);
-  ConnectionShaper twin(lan);
-  constexpr int64_t kNow = 10'000'000;
-  int64_t ready_at = timed.ScheduleResponse(kNow, 512, 64 * 1024);
-  int64_t expected =
-      kNow + twin.OnRequestReceived(512) + twin.OnResponseSend(64 * 1024);
-  EXPECT_EQ(ready_at, expected);
-  EXPECT_GT(ready_at, kNow);  // LAN exchange is never free
-  EXPECT_EQ(timed.exchanges(), twin.exchanges());
-  EXPECT_EQ(timed.cwnd_bytes(), twin.cwnd_bytes());
-
-  // Null link: eligible immediately, whatever the sizes.
-  ConnectionShaper loopback(LinkProfile::Loopback());
-  EXPECT_EQ(loopback.ScheduleResponse(kNow, 1 << 20, 1 << 20), kNow);
+  ConnectionShaper::ExchangePlan plan = shaper.PlanExchange(1000, 1 << 20);
+  EXPECT_EQ(plan.latency_micros, 0);
+  EXPECT_EQ(plan.bandwidth_micros, 0);
+  // Whatever the sizes.
+  ConnectionShaper::ExchangePlan large = shaper.PlanExchange(1 << 20, 1 << 20);
+  EXPECT_EQ(large.latency_micros + large.bandwidth_micros, 0);
 }
 
 TEST(ShaperTest, FirstRequestPaysHandshake) {
   LinkProfile lan = LinkProfile::Lan();
   ConnectionShaper shaper(lan);
-  int64_t first = shaper.OnRequestReceived(100);
-  int64_t second = shaper.OnRequestReceived(100);
-  EXPECT_EQ(first - second, lan.connect_handshake_rtts * lan.rtt_micros);
+  ConnectionShaper::ExchangePlan first = shaper.PlanExchange(100, 0);
+  ConnectionShaper::ExchangePlan second = shaper.PlanExchange(100, 0);
+  EXPECT_EQ(first.latency_micros - second.latency_micros,
+            lan.connect_handshake_rtts * lan.rtt_micros);
 }
 
 TEST(ShaperTest, SlowStartGrowsWindowAcrossResponses) {
@@ -70,7 +55,7 @@ TEST(ShaperTest, SlowStartGrowsWindowAcrossResponses) {
   int64_t initial_cwnd = shaper.cwnd_bytes();
   EXPECT_EQ(initial_cwnd, profile.init_cwnd_bytes);
   // A 1 MiB response forces several slow-start rounds.
-  shaper.OnResponseSend(1 << 20);
+  shaper.PlanExchange(0, 1 << 20);
   EXPECT_GT(shaper.cwnd_bytes(), initial_cwnd);
   EXPECT_LE(shaper.cwnd_bytes(), profile.max_cwnd_bytes);
 }
@@ -79,14 +64,12 @@ TEST(ShaperTest, WarmConnectionTransfersFaster) {
   LinkProfile profile = LinkProfile::Wan();
   // Cold connection: window starts at init_cwnd.
   ConnectionShaper cold(profile);
-  cold.OnRequestReceived(100);
-  int64_t cold_time = cold.OnResponseSend(4 << 20);
+  int64_t cold_time = cold.PlanExchange(100, 4 << 20).bandwidth_micros;
 
   // Warm connection: window already grown by an earlier big response.
   ConnectionShaper warm(profile);
-  warm.OnRequestReceived(100);
-  warm.OnResponseSend(4 << 20);
-  int64_t warm_time = warm.OnResponseSend(4 << 20);
+  warm.PlanExchange(100, 4 << 20);
+  int64_t warm_time = warm.PlanExchange(0, 4 << 20).bandwidth_micros;
 
   // Slow start makes the cold transfer strictly slower — the §2.2 cost
   // of one-connection-per-request HTTP.
@@ -120,15 +103,6 @@ TEST(ShaperTest, PlanExchangeSplitsLatencyAndBandwidth) {
   EXPECT_EQ(second.latency_micros, profile.rtt_micros);
   // Warmer window: same bytes move in fewer slow-start rounds.
   EXPECT_LE(second.bandwidth_micros, first.bandwidth_micros);
-}
-
-TEST(ShaperTest, PlanMatchesLegacyInterfaceTotals) {
-  LinkProfile profile = LinkProfile::PanEuropean();
-  ConnectionShaper a(profile);
-  ConnectionShaper b(profile);
-  int64_t legacy = a.OnRequestReceived(500) + a.OnResponseSend(50'000);
-  ConnectionShaper::ExchangePlan plan = b.PlanExchange(500, 50'000);
-  EXPECT_EQ(legacy, plan.latency_micros + plan.bandwidth_micros);
 }
 
 // ------------------------------------------------------------ FaultInjector

@@ -1,6 +1,8 @@
 #ifndef DAVIX_TESTS_TEST_UTIL_H_
 #define DAVIX_TESTS_TEST_UTIL_H_
 
+#include <poll.h>
+
 #include <memory>
 #include <string>
 #include <utility>
@@ -51,8 +53,11 @@ inline SocketPair MakeSocketPair() {
   auto client = net::TcpSocket::Connect(
       net::SocketAddress::Resolve("127.0.0.1", listener->port()).value());
   EXPECT_TRUE(client.ok());
-  auto server = listener->Accept(1'000'000);
+  ::pollfd pending = {listener->fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pending, 1, 1000), 1);
+  auto server = listener->AcceptNonBlocking();
   EXPECT_TRUE(server.ok());
+  EXPECT_TRUE(server->SetNonBlocking(false).ok());
   SocketPair pair;
   pair.client = std::move(*client);
   pair.server = std::move(*server);
